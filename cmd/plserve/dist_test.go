@@ -58,7 +58,7 @@ func TestServeDistanceStore(t *testing.T) {
 	out := newAddrWriter()
 	stop := make(chan struct{})
 	errC := make(chan error, 1)
-	args := []string{"-labels", path, "-addr", "127.0.0.1:0", "-pair-cache-bits", "8"}
+	args := []string{"-labels", path, "-addr", "127.0.0.1:0"}
 	go func() { errC <- run(args, out, stop) }()
 	var addr string
 	select {

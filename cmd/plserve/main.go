@@ -14,8 +14,7 @@
 // A distance store (pllabel -scheme dist-pll or dist-bounded) is served the
 // same way: the daemon reads the store's scheme record kind, builds a
 // core.DistEngine over the mapped slab instead, and answers distance frames
-// (plquery -dist -remote ...). The tuning flags -pair-cache-bits and
-// -sort-min apply to either plane.
+// (plquery -dist -remote ...).
 //
 // SIGINT/SIGTERM drain gracefully: in-flight frames are answered and
 // flushed, then the process exits 0.
@@ -57,9 +56,6 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		addr        = fs.String("addr", "127.0.0.1:7421", "listen address (port 0 picks a free port)")
 		adminAddr   = fs.String("admin-addr", "", "admin HTTP address serving /metrics, /healthz, /readyz and /debug/pprof (empty disables; port 0 picks a free port)")
 		maxBatch    = fs.Int("max-batch", 0, "max pairs per request frame (0 = default)")
-		useMmap     = fs.Bool("mmap", true, "memory-map the store (false forces the copying reader)")
-		cacheBits   = fs.Int("pair-cache-bits", 0, "log2 slots of the (u,v) result cache (0 = disabled; enable only once the store is read-only warm)")
-		sortMin     = fs.Int("sort-min", 0, "min pairs per frame to probe in arena-offset order (0 = disabled)")
 		maxConns    = fs.Int("max-conns", 0, "connection admission cap; extra conns get a shed frame and a close (0 = unlimited)")
 		shedDepth   = fs.Int("shed-depth", 0, "shed query/dist frames while more than this many frames are in flight across all conns (0 = never shed)")
 		maxPending  = fs.Int("max-pending-resp", 0, "flush after this many unflushed responses per conn (0 = default)")
@@ -75,37 +71,17 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	logger := slog.New(slog.NewTextHandler(stdout, nil))
 
 	start := time.Now()
-	var (
-		store  *labelstore.File
-		mapped bool
-		closer func() error
-	)
-	if *useMmap {
-		mf, err := labelstore.Open(*labelsPath)
-		if err != nil {
-			return err
-		}
-		store, mapped, closer = mf.File, mf.Mapped(), mf.Close
-	} else {
-		f, err := os.Open(*labelsPath)
-		if err != nil {
-			return err
-		}
-		store, err = labelstore.Read(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		closer = func() error { return nil }
+	mf, err := labelstore.Open(*labelsPath)
+	if err != nil {
+		return err
 	}
-	defer closer()
+	defer mf.Close()
+	store := mf.File
 
 	// A store serves exactly one query plane: adjacency (the default) or
 	// distance (a scheme-stamped pll/bdist store → core.DistEngine behind the
-	// same listener, answering opDist frames). The engine-tuning flags
-	// (-pair-cache-bits, -sort-min) apply to whichever engine the store
-	// selects; attachMetrics abstracts over the two engine types for the
-	// admin plane below.
+	// same listener, answering opDist frames); attachMetrics abstracts over
+	// the two engine types for the admin plane below.
 	var (
 		srv           *adjserve.Server
 		attachMetrics func(*core.EngineMetrics)
@@ -116,13 +92,6 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		if err != nil {
 			return fmt.Errorf("store %s is not servable: %w", *labelsPath, err)
 		}
-		// The result cache is attached before the engine is shared with any
-		// connection goroutine (EnableResultCache's publication contract).
-		if *cacheBits > 0 {
-			if err := deng.EnableResultCache(*cacheBits); err != nil {
-				return err
-			}
-		}
 		srv = adjserve.NewServer(nil, *maxBatch)
 		srv.SetDistEngine(deng)
 		attachMetrics = deng.AttachMetrics
@@ -131,11 +100,6 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		eng, err := engineFor(store)
 		if err != nil {
 			return fmt.Errorf("store %s is not servable: %w", *labelsPath, err)
-		}
-		if *cacheBits > 0 {
-			if err := eng.EnableResultCache(*cacheBits); err != nil {
-				return err
-			}
 		}
 		// A shard store only holds its owned vertices' full labels (plus the
 		// replicated fat set); attaching the shard map makes the engine answer
@@ -151,7 +115,7 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 		attachMetrics = eng.AttachMetrics
 	}
 	mode := "copied"
-	if mapped {
+	if mf.Mapped() {
 		mode = "mmap"
 	}
 	layout := "id"
@@ -163,7 +127,6 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	loadedAttrs = append(loadedAttrs, "mode", mode, "elapsed", time.Since(start).Round(time.Microsecond).String())
 	logger.Info("loaded", loadedAttrs...)
 
-	srv.SetSortedBatchMin(*sortMin)
 	srv.SetMaxConns(*maxConns)
 	srv.SetShedDepth(*shedDepth)
 	srv.SetMaxPendingResponses(*maxPending)

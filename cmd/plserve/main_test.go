@@ -58,6 +58,28 @@ func storeFixture(t *testing.T) (string, *graph.Graph) {
 	return path, g
 }
 
+// v1StoreFixture rewrites storeFixture's labeling in format v1, whose
+// payloads are not word-aligned: Open loads it through the copying path.
+func v1StoreFixture(t *testing.T) (string, *graph.Graph) {
+	t.Helper()
+	v2Path, g := storeFixture(t)
+	mf, err := labelstore.Open(v2Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mf.Close()
+	path := filepath.Join(t.TempDir(), "labels-v1.pllb")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := labelstore.Write(f, &labelstore.File{Scheme: mf.Scheme, Params: mf.Params, Labels: mf.Labels}); err != nil {
+		t.Fatal(err)
+	}
+	return path, g
+}
+
 // logAttr extracts one key=value attribute from a slog text line.
 func logAttr(line, key string) (string, bool) {
 	for _, f := range strings.Fields(line) {
@@ -112,32 +134,34 @@ func (w *addrWriter) String() string {
 }
 
 // TestServeAndDrain boots the daemon on a free port, checks remote answers
-// against the graph, and verifies the shutdown path drains cleanly.
+// against the graph, and verifies the shutdown path drains cleanly — once
+// over a mapped v2 store and once over a v1 store, which Open copies.
 func TestServeAndDrain(t *testing.T) {
-	for _, mmap := range []bool{true, false} {
-		path, g := storeFixture(t)
+	for _, v1 := range []bool{false, true} {
+		fixture, wantMode := storeFixture, "mode=mmap"
+		if v1 {
+			fixture, wantMode = v1StoreFixture, "mode=copied"
+		}
+		path, g := fixture(t)
 		out := newAddrWriter()
 		stop := make(chan struct{})
 		errC := make(chan error, 1)
 		args := []string{"-labels", path, "-addr", "127.0.0.1:0"}
-		if !mmap {
-			args = append(args, "-mmap=false")
-		}
 		go func() { errC <- run(args, out, stop) }()
 		var addr string
 		select {
 		case addr = <-out.addrC:
 		case err := <-errC:
-			t.Fatalf("mmap=%v: daemon exited early: %v\n%s", mmap, err, out.String())
+			t.Fatalf("v1=%v: daemon exited early: %v\n%s", v1, err, out.String())
 		case <-time.After(10 * time.Second):
-			t.Fatalf("mmap=%v: no listening line\n%s", mmap, out.String())
+			t.Fatalf("v1=%v: no listening line\n%s", v1, out.String())
 		}
 		c, err := adjserve.Dial(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n, err := c.Info(); err != nil || n != g.N() {
-			t.Fatalf("mmap=%v: Info = %d, %v; want %d", mmap, n, err, g.N())
+			t.Fatalf("v1=%v: Info = %d, %v; want %d", v1, n, err, g.N())
 		}
 		for u := 0; u < 40; u++ {
 			for v := u + 1; v < 40; v += 3 {
@@ -146,7 +170,7 @@ func TestServeAndDrain(t *testing.T) {
 					t.Fatal(err)
 				}
 				if want := g.HasEdge(u, v); got != want {
-					t.Fatalf("mmap=%v: (%d,%d) = %v, want %v", mmap, u, v, got, want)
+					t.Fatalf("v1=%v: (%d,%d) = %v, want %v", v1, u, v, got, want)
 				}
 			}
 		}
@@ -155,20 +179,16 @@ func TestServeAndDrain(t *testing.T) {
 		select {
 		case err := <-errC:
 			if err != nil {
-				t.Fatalf("mmap=%v: daemon exit: %v\n%s", mmap, err, out.String())
+				t.Fatalf("v1=%v: daemon exit: %v\n%s", v1, err, out.String())
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatalf("mmap=%v: daemon did not drain\n%s", mmap, out.String())
+			t.Fatalf("v1=%v: daemon did not drain\n%s", v1, out.String())
 		}
 		if !strings.Contains(out.String(), "served") {
-			t.Errorf("mmap=%v: missing serve summary:\n%s", mmap, out.String())
-		}
-		wantMode := "mode=mmap"
-		if !mmap {
-			wantMode = "mode=copied"
+			t.Errorf("v1=%v: missing serve summary:\n%s", v1, out.String())
 		}
 		if !strings.Contains(out.String(), wantMode) {
-			t.Errorf("mmap=%v: loaded-mode line missing %q:\n%s", mmap, wantMode, out.String())
+			t.Errorf("v1=%v: loaded-mode line missing %q:\n%s", v1, wantMode, out.String())
 		}
 	}
 }

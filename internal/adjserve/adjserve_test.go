@@ -91,58 +91,6 @@ func TestLoopbackEquivalence(t *testing.T) {
 	}
 }
 
-// TestSortedBatchModeEquivalence: a server with the offset-sorted batch path
-// enabled answers bit-for-bit like the streaming server, both below the
-// threshold (frames stream) and above it (frames sort); an out-of-range pair
-// in a sorted frame still produces an error frame, not a dead connection.
-func TestSortedBatchModeEquivalence(t *testing.T) {
-	eng := testEngine(t, 400, 5)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(eng, 0)
-	srv.SetSortedBatchMin(100)
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	c, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for _, batch := range []int{64, 4096} { // below and above the threshold
-		c.MaxBatch = batch
-		pairs := randomPairs(eng.N(), 5000, int64(batch))
-		want, err := eng.AdjacentMany(pairs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.AdjacentMany(pairs, nil)
-		if err != nil {
-			t.Fatalf("batch=%d: %v", batch, err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("batch=%d: pair %d %v: got %v, want %v", batch, i, pairs[i], got[i], want[i])
-			}
-		}
-	}
-	// Error inside a sorted frame: whole batch fails with a RemoteError,
-	// connection stays usable.
-	bad := randomPairs(eng.N(), 500, 99)
-	bad[250] = [2]int{eng.N() + 7, 0}
-	if _, err := c.AdjacentMany(bad, nil); err == nil {
-		t.Fatal("out-of-range pair in sorted frame did not error")
-	} else if !errors.As(err, new(*RemoteError)) {
-		t.Fatalf("want RemoteError, got %v", err)
-	}
-	if adj, err := c.Adjacent(0, 1); err != nil {
-		t.Fatalf("connection dead after error frame: %v", err)
-	} else if want, _ := eng.Adjacent(0, 1); adj != want {
-		t.Fatal("wrong answer after error frame")
-	}
-}
-
 func TestSingleQueryAndInfo(t *testing.T) {
 	eng := testEngine(t, 120, 9)
 	addr, _, _ := startServer(t, eng, 0)

@@ -742,8 +742,11 @@ func (c *Client) manyTrace(pairs [][2]int, boolOut []bool, t *obs.SpanTally) ([]
 	if t.ID == 0 {
 		t.ID = obs.NewTraceID()
 	}
-	wire := c.supportsTrace()
+	// The clock starts before the capability probe: the first traced call
+	// on a connection pays a caps round trip, and that is wall time the
+	// stages must cover (it lands in the net residual).
 	start := time.Now()
+	wire := c.supportsTrace()
 	peerBefore := t.SumHop(obs.HopPeer)
 
 	outStart := len(boolOut)
@@ -823,16 +826,26 @@ func (c *Client) manyTrace(pairs [][2]int, boolOut []bool, t *obs.SpanTally) ([]
 // from the residual; by construction the HopSelf and HopPeer entries then
 // sum exactly to the wall time, which is what makes end-to-end attribution
 // checkable ("stages cover X% of e2e") rather than approximate.
+//
+// Pipelined chunks let the peer work while the client is still encoding or
+// flushing later chunks, so the peer's stages can overlap the client's own.
+// That overlap would make the residual negative; it is charged back against
+// flush, then encode (the client stages the peer ran alongside), so net
+// stays non-negative and the sum stays exact. Only a peer report longer than
+// the whole wall time — impossible for a peer that works inside the call —
+// could still exceed it.
 func (c *Client) recordCallStages(t *obs.SpanTally, start time.Time, encodeNs, flushNs, peerBefore int64) {
 	totalNs := int64(time.Since(start))
-	t.Add(obs.StageEncode, obs.HopSelf, encodeNs)
-	t.Add(obs.StageFlush, obs.HopSelf, flushNs)
 	net := totalNs - encodeNs - flushNs - (t.SumHop(obs.HopPeer) - peerBefore)
 	if net < 0 {
-		// Pipelined chunks can overlap peer stage time with wall time;
-		// attribute nothing to the wire rather than a negative duration.
+		over := -net
+		cut := min(over, flushNs)
+		flushNs -= cut
+		encodeNs -= min(over-cut, encodeNs)
 		net = 0
 	}
+	t.Add(obs.StageEncode, obs.HopSelf, encodeNs)
+	t.Add(obs.StageFlush, obs.HopSelf, flushNs)
 	t.Add(obs.StageNet, obs.HopSelf, net)
 }
 
@@ -842,8 +855,8 @@ func (c *Client) manyTraceDist(pairs [][2]int, out []int, t *obs.SpanTally) ([]i
 	if t.ID == 0 {
 		t.ID = obs.NewTraceID()
 	}
+	start := time.Now() // before the caps probe, as in manyTrace
 	wire := c.supportsTrace()
-	start := time.Now()
 	peerBefore := t.SumHop(obs.HopPeer)
 
 	outStart := len(out)

@@ -59,52 +59,42 @@ func startDistServer(t testing.TB, eng *core.DistEngine, maxBatch int) (string, 
 }
 
 // TestDistLoopbackEquivalence: remote distance answers are identical to the
-// in-process engine, across both schemes, batch sizes that exercise single-
-// and multi-frame paths, and the streaming vs sorted-batch server modes.
+// in-process engine, across both schemes and batch sizes that exercise
+// single- and multi-frame paths.
 func TestDistLoopbackEquivalence(t *testing.T) {
 	engines := testDistEngines(t, 400, 3)
 	for kind, eng := range engines {
-		for _, sortedMin := range []int{0, 100} {
-			srv := NewServer(nil, 0)
-			srv.SetDistEngine(eng)
-			srv.SetSortedBatchMin(sortedMin)
-			ln, err := netListen(t)
+		addr, _ := startDistServer(t, eng, 0)
+		for _, batch := range []int{1, 64, 4096} {
+			c, err := Dial(addr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			go srv.Serve(ln)
-			for _, batch := range []int{1, 64, 4096} {
-				c, err := Dial(ln.Addr().String())
-				if err != nil {
-					t.Fatal(err)
-				}
-				c.MaxBatch = batch
-				pairs := randomPairs(eng.N(), 3000, int64(batch))
-				want, err := eng.DistMany(pairs, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := c.DistMany(pairs, nil)
-				if err != nil {
-					t.Fatalf("%s sortedMin=%d batch=%d: %v", kind, sortedMin, batch, err)
-				}
-				for i := range want {
-					w := want[i]
-					if w > 254 {
-						w = graph.Unreachable // wire clamp; unhit on log-diameter graphs
-					}
-					if got[i] != w {
-						t.Fatalf("%s sortedMin=%d batch=%d: pair %d %v = %d, engine says %d",
-							kind, sortedMin, batch, i, pairs[i], got[i], want[i])
-					}
-				}
-				d, err := c.Dist(pairs[0][0], pairs[0][1])
-				if err != nil || d != got[0] {
-					t.Fatalf("%s: Dist = %d, %v; DistMany said %d", kind, d, err, got[0])
-				}
-				c.Close()
+			c.MaxBatch = batch
+			pairs := randomPairs(eng.N(), 3000, int64(batch))
+			want, err := eng.DistMany(pairs, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			srv.Close()
+			got, err := c.DistMany(pairs, nil)
+			if err != nil {
+				t.Fatalf("%s batch=%d: %v", kind, batch, err)
+			}
+			for i := range want {
+				w := want[i]
+				if w > 254 {
+					w = graph.Unreachable // wire clamp; unhit on log-diameter graphs
+				}
+				if got[i] != w {
+					t.Fatalf("%s batch=%d: pair %d %v = %d, engine says %d",
+						kind, batch, i, pairs[i], got[i], want[i])
+				}
+			}
+			d, err := c.Dist(pairs[0][0], pairs[0][1])
+			if err != nil || d != got[0] {
+				t.Fatalf("%s: Dist = %d, %v; DistMany said %d", kind, d, err, got[0])
+			}
+			c.Close()
 		}
 	}
 }

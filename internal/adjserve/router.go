@@ -260,8 +260,8 @@ func (r *Router) route(u, v int) int {
 // ownerOf is the replica-fleet placement rule: replica floor(u*R/n) answers
 // every query whose first endpoint is u. Any replica could — each holds the
 // whole store — but keying on u alone spreads load and keeps each vertex's
-// queries on one upstream, warming that replica's result cache for exactly
-// its slice of the id space.
+// queries on one upstream, so each replica's hot working set is its own
+// slice of the id space.
 func (r *Router) ownerOf(u int) int {
 	return int(int64(u) * int64(len(r.clients)) / int64(r.n))
 }

@@ -25,13 +25,6 @@ type Server struct {
 	dist     *core.DistEngine
 	maxBatch int
 
-	// sortedMin, when > 0, routes frames of at least that many pairs through
-	// core.AdjacentManySorted: pairs are decoded up front, probed in
-	// arena-offset order, and the answers scattered back into request order.
-	// 0 keeps the streaming per-pair path. Set before Serve; never mutated
-	// under traffic.
-	sortedMin int
-
 	// maxConns, when > 0, caps concurrently open client connections: an
 	// accept past the cap is answered with one shed frame and closed, so a
 	// protocol-speaking client sees ErrShed on its next call instead of a
@@ -117,12 +110,6 @@ func (s *Server) SetDistEngine(e *core.DistEngine) {
 // Metrics returns the server's instrumentation, for registering on an
 // obs.Registry (srv.Metrics().Register(reg)) or reading in tests.
 func (s *Server) Metrics() *ServerMetrics { return &s.metrics }
-
-// SetSortedBatchMin opts frames of >= min pairs into offset-sorted probing
-// (core.AdjacentManySorted); min <= 0 disables it. Answers are identical to
-// the streaming path — only the probe order changes. Must be called before
-// Serve.
-func (s *Server) SetSortedBatchMin(min int) { s.sortedMin = min }
 
 // SetMaxConns caps concurrently open client connections; n <= 0 means
 // unlimited. A connection accepted past the cap is answered with a single
@@ -276,15 +263,10 @@ func (s *Server) Close() error {
 }
 
 // connBuffers is the pooled per-connection scratch: request and response
-// payload buffers plus the sorted-batch working set (decoded pairs, answer
-// slice, sort keys), all growing to the connection's working-set size and
-// then reused for every subsequent frame.
+// payload buffers, both growing to the connection's largest frame and then
+// reused for every subsequent frame.
 type connBuffers struct {
 	req, resp []byte
-	pairs     [][2]int
-	res       []bool
-	dists     []int
-	sc        core.BatchScratch
 }
 
 var bufPool = sync.Pool{New: func() any { return new(connBuffers) }}
@@ -623,9 +605,6 @@ func (s *Server) process(req []byte, bufs *connBuffers) (out []byte, queries int
 		body = body[n:]
 		resp = append(resp, statusOK)
 		resp = binary.AppendUvarint(resp, count)
-		if s.sortedMin > 0 && int(count) >= s.sortedMin {
-			return s.processDistSorted(body, resp, int(count), bufs)
-		}
 		var t core.QueryTally
 		for i := 0; i < int(count); i++ {
 			u, nu := binary.Uvarint(body)
@@ -672,9 +651,6 @@ func (s *Server) process(req []byte, bufs *connBuffers) (out []byte, queries int
 		for i := 0; i < int(count+7)/8; i++ {
 			resp = append(resp, 0)
 		}
-		if s.sortedMin > 0 && int(count) >= s.sortedMin {
-			return s.processSorted(body, resp, bitsOff, int(count), bufs)
-		}
 		// One tally per frame, flushed below: the engine's per-query metric
 		// cost on this path is two stack increments (see core.QueryTally).
 		var t core.QueryTally
@@ -709,49 +685,6 @@ func (s *Server) process(req []byte, bufs *connBuffers) (out []byte, queries int
 	}
 }
 
-// processSorted is the opt-in locality path for large frames: it decodes the
-// whole pair list into the connection scratch, answers it with one
-// AdjacentManySorted call (probes run in arena-offset order, answers come
-// back in request order), and packs the answer bits exactly as the streaming
-// loop would. resp already carries the status byte, count and zeroed bit
-// block starting at bitsOff. The pair list, answer slice and sort keys all
-// live in bufs, so the steady-state frame loop stays allocation-free.
-func (s *Server) processSorted(body, resp []byte, bitsOff, count int, bufs *connBuffers) (out []byte, queries int) {
-	pairs := bufs.pairs[:0]
-	for i := 0; i < count; i++ {
-		u, nu := binary.Uvarint(body)
-		if nu <= 0 {
-			bufs.pairs = pairs
-			return appendErr(resp[:0], "pair %d: bad u", i), 0
-		}
-		body = body[nu:]
-		v, nv := binary.Uvarint(body)
-		if nv <= 0 {
-			bufs.pairs = pairs
-			return appendErr(resp[:0], "pair %d: bad v", i), 0
-		}
-		body = body[nv:]
-		pairs = append(pairs, [2]int{int(u), int(v)})
-	}
-	bufs.pairs = pairs
-	if len(body) != 0 {
-		return appendErr(resp[:0], "%d trailing bytes after %d pairs", len(body), count), 0
-	}
-	res, err := s.engine.AdjacentManySorted(pairs, bufs.res[:0], &bufs.sc)
-	if cap(res) > cap(bufs.res) {
-		bufs.res = res
-	}
-	if err != nil {
-		return appendErr(resp[:0], "%v", err), 0
-	}
-	for i, adj := range res {
-		if adj {
-			resp[bitsOff+i/8] |= 1 << (7 - uint(i)%8)
-		}
-	}
-	return resp, count
-}
-
 // servedN is the vertex count of whichever plane the server holds (equal when
 // it holds both).
 func (s *Server) servedN() int {
@@ -759,42 +692,4 @@ func (s *Server) servedN() int {
 		return s.engine.N()
 	}
 	return s.dist.N()
-}
-
-// processDistSorted is processSorted for distance frames: the whole pair list
-// is decoded into the connection scratch and answered with one DistManySorted
-// call (probes in arena-offset order, answers in request order), then encoded
-// as uvarint distances. resp already carries the status byte and count.
-func (s *Server) processDistSorted(body, resp []byte, count int, bufs *connBuffers) (out []byte, queries int) {
-	pairs := bufs.pairs[:0]
-	for i := 0; i < count; i++ {
-		u, nu := binary.Uvarint(body)
-		if nu <= 0 {
-			bufs.pairs = pairs
-			return appendErr(resp[:0], "pair %d: bad u", i), 0
-		}
-		body = body[nu:]
-		v, nv := binary.Uvarint(body)
-		if nv <= 0 {
-			bufs.pairs = pairs
-			return appendErr(resp[:0], "pair %d: bad v", i), 0
-		}
-		body = body[nv:]
-		pairs = append(pairs, [2]int{int(u), int(v)})
-	}
-	bufs.pairs = pairs
-	if len(body) != 0 {
-		return appendErr(resp[:0], "%d trailing bytes after %d pairs", len(body), count), 0
-	}
-	dists, err := s.dist.DistManySorted(pairs, bufs.dists[:0], &bufs.sc)
-	if cap(dists) > cap(bufs.dists) {
-		bufs.dists = dists
-	}
-	if err != nil {
-		return appendErr(resp[:0], "%v", err), 0
-	}
-	for _, d := range dists {
-		resp = binary.AppendUvarint(resp, wireDist(d))
-	}
-	return resp, count
 }

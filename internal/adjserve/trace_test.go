@@ -112,6 +112,54 @@ func TestTraceDirectE2E(t *testing.T) {
 	}
 }
 
+// TestRecordCallStagesOverlap: when the peer's reported stages exceed the
+// wall time left after encode and flush (pipelined chunks overlap the two),
+// the overlap comes out of flush, then encode — net never goes negative and
+// the self and peer stages still sum to the wall time exactly.
+func TestRecordCallStagesOverlap(t *testing.T) {
+	const ms = int64(time.Millisecond)
+	for _, tc := range []struct {
+		name                 string
+		encode, flush, peer  int64
+		wantFlush0, wantEnc0 bool
+	}{
+		{"flush absorbs", 3 * ms, 4 * ms, 6 * ms, false, false},
+		{"flush then encode", 3 * ms, 4 * ms, 8 * ms, true, false},
+		{"peer exceeds wall", 1 * ms, 1 * ms, 12 * ms, true, true},
+	} {
+		var c Client
+		var tally obs.SpanTally
+		tally.Add(obs.StageProbe, obs.HopPeer, tc.peer)
+		start := time.Now().Add(-10 * time.Millisecond)
+		c.recordCallStages(&tally, start, tc.encode, tc.flush, 0)
+		after := int64(time.Since(start))
+		stages := map[uint8]int64{}
+		var sum int64
+		for _, st := range tally.Stages() {
+			if st.Hop == obs.HopSelf {
+				stages[st.Stage] = st.Ns
+			}
+			sum += st.Ns
+		}
+		enc, flush, net := stages[obs.StageEncode], stages[obs.StageFlush], stages[obs.StageNet]
+		if net < 0 || enc < 0 || flush < 0 {
+			t.Fatalf("%s: negative stage: encode=%d flush=%d net=%d", tc.name, enc, flush, net)
+		}
+		if enc > tc.encode || flush > tc.flush {
+			t.Errorf("%s: stages grew: encode %d→%d, flush %d→%d", tc.name, tc.encode, enc, tc.flush, flush)
+		}
+		if (flush == 0) != tc.wantFlush0 || (enc == 0) != tc.wantEnc0 {
+			t.Errorf("%s: encode=%v flush=%v net=%v", tc.name, time.Duration(enc), time.Duration(flush), time.Duration(net))
+		}
+		// The wall time the function saw lies in [10 ms, after]; the stage
+		// sum must equal it, unless the peer alone reports more than that.
+		lo, hi := max(10*ms, tc.peer), max(after, tc.peer)
+		if sum < lo || sum > hi {
+			t.Errorf("%s: stage sum %v outside [%v, %v]", tc.name, time.Duration(sum), time.Duration(lo), time.Duration(hi))
+		}
+	}
+}
+
 // TestTraceRoutedE2E is the acceptance check through the full scatter-gather
 // path: client → router → 3 shard servers. The reconstructed timeline must
 // contain the router's hop stages and per-shard sub-traces, and the top-level

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitstr"
 	"repro/internal/graph"
@@ -36,7 +34,7 @@ import (
 // never errors and never reads outside the slab on any engine that
 // construction accepted (FuzzDistEngineHeaders leans on exactly this).
 // Like QueryEngine, a DistEngine is immutable after construction and safe
-// for concurrent use; metrics and the result cache attach before sharing.
+// for concurrent use; metrics attach before sharing.
 type DistEngine struct {
 	kind DistKind
 	n    int
@@ -53,7 +51,6 @@ type DistEngine struct {
 	slab     []byte
 	slabBits int64
 	metrics  *EngineMetrics
-	cache    *distCache
 }
 
 // NewDistEngine adopts a pipeline-encoded DistArena zero-copy.
@@ -329,44 +326,27 @@ func (e *DistEngine) Dist(u, v int) (int, error) {
 
 // DistTallied is the shared probe path: one query, branch tallies into t,
 // flushed by the caller via FlushTally once per span (the adjserve opDist
-// frame loop streams through here). With a result cache enabled the slab is
-// only probed on a miss.
+// frame loop streams through here).
 func (e *DistEngine) DistTallied(u, v int, t *QueryTally) (int, error) {
 	if uint(u) >= uint(e.n) || uint(v) >= uint(e.n) {
 		return 0, fmt.Errorf("%w: (%d,%d) of %d", ErrVertexRange, u, v, e.n)
 	}
 	t.queries++
-	if c := e.cache; c != nil {
-		key := distCacheKey(u, v)
-		if d, hit := c.get(key); hit {
-			t.cacheHits++
-			return d, nil
-		}
-		t.cacheMisses++
-		d := e.probeDist(u, v, t)
-		c.put(key, d)
-		return d, nil
-	}
-	return e.probeDist(u, v, t), nil
-}
-
-// probeDist resolves one in-range query against the slab.
-func (e *DistEngine) probeDist(u, v int, t *QueryTally) int {
 	mu, mv := e.meta[u], e.meta[v]
 	if mu.id() == mv.id() {
 		t.self++
-		return 0
+		return 0, nil
 	}
 	if e.kind == DistPLL {
 		t.thin++
-		return e.distPLL(mu, mv)
+		return e.distPLL(mu, mv), nil
 	}
 	if mu.fat() || mv.fat() {
 		t.fat++
 	} else {
 		t.thin++
 	}
-	return e.distBounded(mu, mv)
+	return e.distBounded(mu, mv), nil
 }
 
 // distPLL merges the two sorted hub lists and returns the minimum summed
@@ -504,49 +484,6 @@ func (e *DistEngine) DistMany(pairs [][2]int, out []int) ([]int, error) {
 	return out, nil
 }
 
-// DistManySorted answers a batch like DistMany but probes pairs in
-// ascending arena-offset order of their first endpoint's label and scatters
-// the answers back into request order — the distance-plane twin of
-// AdjacentManySorted, sharing its BatchScratch and its fallback and
-// whole-batch-failure semantics.
-func (e *DistEngine) DistManySorted(pairs [][2]int, out []int, sc *BatchScratch) ([]int, error) {
-	if sc == nil || len(pairs) >= 1<<sortIdxBits {
-		return e.DistMany(pairs, out)
-	}
-	start := len(out)
-	out = growInts(out, len(pairs))
-	res := out[start:]
-	if cap(sc.keys) < len(pairs) {
-		sc.keys = make([]uint64, len(pairs))
-	}
-	keys := sc.keys[:len(pairs)]
-	const maxSortKey = 1<<(64-sortIdxBits) - 1
-	for i, p := range pairs {
-		u, v := p[0], p[1]
-		if uint(u) >= uint(e.n) || uint(v) >= uint(e.n) {
-			return out[:start], fmt.Errorf("core: dist query (%d,%d): %w: (%d,%d) of %d", u, v, ErrVertexRange, u, v, e.n)
-		}
-		key := uint64(e.meta[u].off) >> 6
-		if key > maxSortKey {
-			key = maxSortKey
-		}
-		keys[i] = key<<sortIdxBits | uint64(i)
-	}
-	slices.Sort(keys)
-	var t QueryTally
-	for _, k := range keys {
-		i := int(k & (1<<sortIdxBits - 1))
-		d, err := e.DistTallied(pairs[i][0], pairs[i][1], &t)
-		if err != nil {
-			e.flushDistBatch(&t, len(pairs))
-			return out[:start], fmt.Errorf("core: dist query (%d,%d): %w", pairs[i][0], pairs[i][1], err)
-		}
-		res[i] = d
-	}
-	e.flushDistBatch(&t, len(pairs))
-	return out, nil
-}
-
 // DistManyParallel shards a batch across workers goroutines (<= 0 selects
 // GOMAXPROCS), answering each shard with the allocation-free single-query
 // path; results are in pair order.
@@ -641,78 +578,4 @@ func (e *DistEngine) ObserveProbe(ns int64, traceID uint64) {
 	if m := e.metrics; m != nil {
 		m.ObserveProbe(ns, traceID)
 	}
-}
-
-// distCache is the (u,v)→distance twin of pairCache. A slot is one atomic
-// word:
-//
-//	slot = key<<10 | (dist+1)<<1 | 1
-//
-// with key = min(u,v)<<27 | max(u,v). Distances carry 9 bits (stored +1 so
-// the -1 sentinel packs as 0), so the cache holds answers up to 510 hops —
-// far past any power-law diameter; larger answers are simply not inserted.
-// Keys embed both vertices, so a lost store race leaves a correct entry,
-// never a mismatched one.
-type distCache struct {
-	slots []atomic.Uint64
-	mask  uint64
-}
-
-func newDistCache(bits int) *distCache {
-	return &distCache{slots: make([]atomic.Uint64, 1<<bits), mask: 1<<bits - 1}
-}
-
-// distCacheKey canonicalizes an unordered pair (distances are symmetric).
-// Callers guarantee 0 <= u,v < n <= 2^27.
-func distCacheKey(u, v int) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(u)<<27 | uint64(v)
-}
-
-func (c *distCache) index(key uint64) uint64 {
-	h := key
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h & c.mask
-}
-
-func (c *distCache) get(key uint64) (dist int, hit bool) {
-	s := c.slots[c.index(key)].Load()
-	if s&1 == 1 && s>>10 == key {
-		return int(s>>1&0x1ff) - 1, true
-	}
-	return 0, false
-}
-
-func (c *distCache) put(key uint64, dist int) {
-	if dist < -1 || dist > 509 {
-		return
-	}
-	c.slots[c.index(key)].Store(key<<10 | uint64(dist+1)<<1 | 1)
-}
-
-// EnableResultCache attaches a direct-mapped (u,v)→distance cache of 2^bits
-// slots probed before the slab; bits <= 0 detaches. Same contract as the
-// adjacency engine's: attach before sharing, safe under concurrent readers
-// and writers afterwards, hits/misses tallied into the attached metrics.
-// Distance keys pack two 27-bit vertex ids, so the cache is available for
-// engines up to 2^27 vertices.
-func (e *DistEngine) EnableResultCache(bits int) error {
-	if bits <= 0 {
-		e.cache = nil
-		return nil
-	}
-	if bits > maxCacheBits {
-		return fmt.Errorf("core: result cache of 2^%d slots (max 2^%d)", bits, maxCacheBits)
-	}
-	if e.n > 1<<27 {
-		return fmt.Errorf("core: distance cache keys pack 27-bit vertex ids, engine has %d vertices", e.n)
-	}
-	e.cache = newDistCache(bits)
-	return nil
 }

@@ -119,7 +119,5 @@ func FuzzDistEngineHeaders(f *testing.F) {
 			}
 		}
 		_, _ = eng.DistMany(pairs, nil)
-		var sc core.BatchScratch
-		_, _ = eng.DistManySorted(pairs, nil, &sc)
 	})
 }

@@ -118,15 +118,10 @@ func TestLayoutEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					var sc BatchScratch
-					outSorted, err := engDeg.AdjacentManySorted(checkPairs, nil, &sc)
-					if err != nil {
-						t.Fatal(err)
-					}
 					for i := range checkPairs {
-						if outID[i] != outDeg[i] || outID[i] != outSorted[i] {
-							t.Fatalf("engine answers differ at pair %d (%v): id=%v degree=%v sorted=%v",
-								i, checkPairs[i], outID[i], outDeg[i], outSorted[i])
+						if outID[i] != outDeg[i] {
+							t.Fatalf("engine answers differ at pair %d (%v): id=%v degree=%v",
+								i, checkPairs[i], outID[i], outDeg[i])
 						}
 					}
 				})
@@ -150,110 +145,11 @@ func equivalencePairs(g *graph.Graph, rng *rand.Rand, extra int) [][2]int {
 	return pairs
 }
 
-func TestAdjacentManySortedFallsBackWithoutScratch(t *testing.T) {
-	g, err := gen.ChungLuPowerLaw(200, 2.5, 2, 29)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lab, err := NewPowerLawScheme(2.5).Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewQueryEngine(lab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := equivalencePairs(g, rand.New(rand.NewSource(2)), 100)
-	want, err := eng.AdjacentMany(pairs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.AdjacentManySorted(pairs, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pairs {
-		if want[i] != got[i] {
-			t.Fatalf("fallback answer differs at %d", i)
-		}
-	}
-}
-
-func TestEnableResultCacheValidates(t *testing.T) {
-	g, err := gen.ChungLuPowerLaw(100, 2.5, 2, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lab, err := NewPowerLawScheme(2.5).Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewQueryEngine(lab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.EnableResultCache(40); err == nil {
-		t.Error("oversized cache accepted")
-	}
-	if err := eng.EnableResultCache(10); err != nil {
-		t.Errorf("EnableResultCache(10): %v", err)
-	}
-	if err := eng.EnableResultCache(0); err != nil {
-		t.Errorf("EnableResultCache(0) should detach, got %v", err)
-	}
-}
-
-// TestResultCacheAnswersAndCounters: with the cache attached, answers stay
-// identical and a repeated batch registers hits on the engine metrics.
-func TestResultCacheAnswersAndCounters(t *testing.T) {
-	g, err := gen.ChungLuPowerLaw(400, 2.5, 2, 37)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lab, err := NewPowerLawScheme(2.5).Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewQueryEngine(lab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := equivalencePairs(g, rand.New(rand.NewSource(3)), 300)
-	want, err := eng.AdjacentMany(pairs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.EnableResultCache(12); err != nil {
-		t.Fatal(err)
-	}
-	var em EngineMetrics
-	eng.AttachMetrics(&em)
-	var sc BatchScratch
-	for round := 0; round < 2; round++ {
-		got, err := eng.AdjacentManySorted(pairs, nil, &sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range pairs {
-			if got[i] != want[i] {
-				t.Fatalf("round %d: cached answer differs at pair %d (%v)", round, i, pairs[i])
-			}
-		}
-	}
-	hits, misses := em.CacheHits.Load(), em.CacheMisses.Load()
-	if hits == 0 {
-		t.Errorf("no cache hits after a repeated batch (misses=%d)", misses)
-	}
-	if misses == 0 {
-		t.Error("no cache misses recorded on a cold cache")
-	}
-}
-
-// TestResultCacheConcurrentBatches hammers one cache-enabled engine from
-// many goroutines (run under -race in CI): the direct-mapped slots are
-// single-word atomics, so concurrent batches may lose updates but can never
-// corrupt an answer.
-func TestResultCacheConcurrentBatches(t *testing.T) {
+// TestAdjacentManyConcurrentBatches hammers one degree-ordered engine with
+// attached metrics from many goroutines (run under -race in CI): the engine
+// is read-only after construction and each batch flushes its own tally, so
+// concurrent batches share it without coordination.
+func TestAdjacentManyConcurrentBatches(t *testing.T) {
 	g, err := gen.ChungLuPowerLaw(500, 2.5, 2, 41)
 	if err != nil {
 		t.Fatal(err)
@@ -268,15 +164,14 @@ func TestResultCacheConcurrentBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.EnableResultCache(8); err != nil { // tiny: force eviction races
-		t.Fatal(err)
-	}
 	pairs := equivalencePairs(g, rand.New(rand.NewSource(4)), 400)
 	want, err := eng.AdjacentMany(pairs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const workers = 8
+	var em EngineMetrics
+	eng.AttachMetrics(&em)
+	const workers, rounds = 8, 20
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
@@ -289,11 +184,10 @@ func TestResultCacheConcurrentBatches(t *testing.T) {
 			for i, j := range idx {
 				local[i] = pairs[j]
 			}
-			var sc BatchScratch
 			var out []bool
-			for round := 0; round < 20; round++ {
+			for round := 0; round < rounds; round++ {
 				var err error
-				out, err = eng.AdjacentManySorted(local, out[:0], &sc)
+				out, err = eng.AdjacentMany(local, out[:0])
 				if err != nil {
 					errs <- err
 					return
@@ -312,12 +206,14 @@ func TestResultCacheConcurrentBatches(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	if got, want := em.Queries.Load(), int64(workers*rounds*len(pairs)); got != want {
+		t.Errorf("engine_queries_total = %d, want %d", got, want)
+	}
 }
 
-// TestAdjacentManySortedZeroAlloc is the acceptance bar from the issue: the
-// hot batch path performs zero heap allocations per call, result cache
-// enabled included.
-func TestAdjacentManySortedZeroAlloc(t *testing.T) {
+// TestAdjacentManyZeroAlloc: the batch path over a degree-ordered slab
+// performs zero heap allocations per call, metrics attached included.
+func TestAdjacentManyZeroAlloc(t *testing.T) {
 	g, err := gen.ChungLuPowerLaw(400, 2.5, 2, 43)
 	if err != nil {
 		t.Fatal(err)
@@ -332,23 +228,18 @@ func TestAdjacentManySortedZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.EnableResultCache(10); err != nil {
-		t.Fatal(err)
-	}
+	var em EngineMetrics
+	eng.AttachMetrics(&em)
 	pairs := equivalencePairs(g, rand.New(rand.NewSource(5)), 200)
 	out := make([]bool, 0, len(pairs))
-	var sc BatchScratch
-	if out, err = eng.AdjacentManySorted(pairs, out[:0], &sc); err != nil {
-		t.Fatal(err) // warm-up grows the scratch once
-	}
 	allocs := testing.AllocsPerRun(20, func() {
 		var err error
-		out, err = eng.AdjacentManySorted(pairs, out[:0], &sc)
+		out, err = eng.AdjacentMany(pairs, out[:0])
 		if err != nil {
 			panic(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("AdjacentManySorted allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("AdjacentMany allocates %.1f objects/op, want 0", allocs)
 	}
 }

@@ -15,14 +15,12 @@ import (
 // Theorems 3–4, FatBranch the O(1) hub bitmap probes, SelfBranch the
 // same-identifier short-circuit.
 type EngineMetrics struct {
-	Queries     obs.Counter // adjacency queries answered
-	Batches     obs.Counter // AdjacentMany/AdjacentManyParallel calls
-	ThinBranch  obs.Counter // queries resolved by a thin binary-search probe
-	FatBranch   obs.Counter // queries resolved by a fat bitmap probe
-	SelfBranch  obs.Counter // same-identifier short-circuits
-	CacheHits   obs.Counter // result-cache hits (cache enabled only)
-	CacheMisses obs.Counter // result-cache misses (cache enabled only)
-	BatchPairs  obs.Histogram
+	Queries    obs.Counter // adjacency queries answered
+	Batches    obs.Counter // AdjacentMany/AdjacentManyParallel calls
+	ThinBranch obs.Counter // queries resolved by a thin binary-search probe
+	FatBranch  obs.Counter // queries resolved by a fat bitmap probe
+	SelfBranch obs.Counter // same-identifier short-circuits
+	BatchPairs obs.Histogram
 	// ProbeNs is the engine-probe wall time per served frame (decode pairs,
 	// probe the arena, encode the answer), charged once per frame by the
 	// serving loop via ObserveProbe — the engine-layer stage the tracing
@@ -38,8 +36,6 @@ func (m *EngineMetrics) Register(reg *obs.Registry) {
 	reg.Counter("engine_branch_thin_total", "Queries resolved by the thin O(log n) binary-search branch.", &m.ThinBranch)
 	reg.Counter("engine_branch_fat_total", "Queries resolved by the fat O(1) bitmap-probe branch.", &m.FatBranch)
 	reg.Counter("engine_branch_self_total", "Queries short-circuited by equal identifiers.", &m.SelfBranch)
-	reg.Counter("engine_cache_hits_total", "Queries answered from the (u,v) result cache.", &m.CacheHits)
-	reg.Counter("engine_cache_misses_total", "Result-cache lookups that fell through to a slab probe.", &m.CacheMisses)
 	reg.Histogram("engine_batch_pairs", "Pairs per batch call.", &m.BatchPairs)
 	reg.Histogram("engine_probe_ns", "Engine-probe wall time per served frame.", &m.ProbeNs)
 }
@@ -55,8 +51,6 @@ func (m *EngineMetrics) RegisterDist(reg *obs.Registry) {
 	reg.Counter("dist_engine_branch_thin_total", "PLL hub-list merges and thin-thin bounded-distance queries.", &m.ThinBranch)
 	reg.Counter("dist_engine_branch_fat_total", "Bounded-distance queries with a fat endpoint (fat-relay only).", &m.FatBranch)
 	reg.Counter("dist_engine_branch_self_total", "Queries short-circuited by equal identifiers.", &m.SelfBranch)
-	reg.Counter("dist_engine_cache_hits_total", "Queries answered from the (u,v) distance cache.", &m.CacheHits)
-	reg.Counter("dist_engine_cache_misses_total", "Distance-cache lookups that fell through to a slab probe.", &m.CacheMisses)
 	reg.Histogram("dist_engine_batch_pairs", "Pairs per distance batch call.", &m.BatchPairs)
 	reg.Histogram("dist_engine_probe_ns", "Engine-probe wall time per served distance frame.", &m.ProbeNs)
 }
@@ -69,7 +63,6 @@ func (m *EngineMetrics) RegisterDist(reg *obs.Registry) {
 // increments, never an atomic.
 type QueryTally struct {
 	queries, thin, fat, self int64
-	cacheHits, cacheMisses   int64
 }
 
 // ObserveProbe charges one served frame's engine-probe wall time, stamping
@@ -89,8 +82,6 @@ func (m *EngineMetrics) flush(t *QueryTally) {
 	m.ThinBranch.Add(t.thin)
 	m.FatBranch.Add(t.fat)
 	m.SelfBranch.Add(t.self)
-	m.CacheHits.Add(t.cacheHits)
-	m.CacheMisses.Add(t.cacheMisses)
 }
 
 // pipelineMetrics instruments the slab encode pipeline (both the fat/thin

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 
 	"repro/internal/bitstr"
@@ -46,17 +45,12 @@ type QueryEngine struct {
 	// otherwise immutable engine: attach before sharing the engine across
 	// goroutines.
 	metrics *EngineMetrics
-	// cache, when enabled, memoizes (u,v)→answer in a fixed direct-mapped
-	// table probed before the slab (see cache.go). Like metrics it must be
-	// attached before the engine is shared; afterwards it is written only
-	// through single-word atomics and is safe under concurrent batches.
-	cache *pairCache
 	// resident, when non-nil, marks the engine as serving one shard of a
 	// partitioned store (SetShard): bit v says vertex v's full label body is
 	// present in the slab (owned, or fat — fat labels are replicated to every
 	// shard). Queries resolvable only from a non-resident body return
-	// ErrNotResident instead of probing a stripped stub. Like metrics and the
-	// cache it is set before the engine is shared and read-only afterwards.
+	// ErrNotResident instead of probing a stripped stub. Like metrics it is
+	// set before the engine is shared and read-only afterwards.
 	resident []uint64
 	shard    ShardMap
 }
@@ -279,31 +273,11 @@ func (e *QueryEngine) Adjacent(u, v int) (bool, error) {
 // batch paths (and external frame loops like adjserve) flush to atomics once
 // per span via FlushTally. It is the call to use when streaming single
 // queries at batch rates: same probes as Adjacent, no per-query metric cost.
-// With a result cache enabled (EnableResultCache) the slab is only probed on
-// a miss; hits and misses are tallied alongside the branch counts.
 func (e *QueryEngine) AdjacentTallied(u, v int, t *QueryTally) (bool, error) {
 	if uint(u) >= uint(e.n) || uint(v) >= uint(e.n) {
 		return false, fmt.Errorf("%w: (%d,%d) of %d", ErrVertexRange, u, v, e.n)
 	}
 	t.queries++
-	if c := e.cache; c != nil {
-		key := pairCacheKey(u, v)
-		if ans, hit := c.get(key); hit {
-			t.cacheHits++
-			return ans, nil
-		}
-		t.cacheMisses++
-		ans, err := e.probe(u, v, t)
-		if err == nil {
-			c.put(key, ans)
-		}
-		return ans, err
-	}
-	return e.probe(u, v, t)
-}
-
-// probe resolves one in-range query against the slab.
-func (e *QueryEngine) probe(u, v int, t *QueryTally) (bool, error) {
 	if e.resident != nil {
 		// Sharded engine: pick a resident body (see probeSharded). The nil
 		// check is the only cost an unsharded engine pays.
@@ -371,75 +345,6 @@ func (e *QueryEngine) AdjacentMany(pairs [][2]int, out []bool) ([]bool, error) {
 			return out, fmt.Errorf("core: query (%d,%d): %w", p[0], p[1], err)
 		}
 		out = append(out, ok)
-	}
-	e.flushBatch(&t, len(pairs))
-	return out, nil
-}
-
-// BatchScratch holds the reusable working memory of AdjacentManySorted. One
-// scratch serves any number of sequential batches on one goroutine (the
-// buffers grow to the largest batch seen and stay); concurrent batches each
-// need their own.
-type BatchScratch struct {
-	keys []uint64
-}
-
-// sortIdxBits is the width of the pair-index field packed into a sort key;
-// the remaining 40 bits carry the probe's slab word index.
-const sortIdxBits = 24
-
-// AdjacentManySorted answers a batch like AdjacentMany but probes the pairs
-// in ascending arena-offset order and scatters the answers back into request
-// order — on a degree-ordered slab under skewed traffic the probe stream
-// walks the hot pages nearly sequentially instead of striding the whole
-// arena. Each pair's key is the slab word its probe will touch (the first
-// endpoint's body, or the thin endpoint's when a fat/thin pair binary-searches
-// the thin list), packed with the pair's index so the sort itself is
-// allocation-free over sc.keys. Answers are identical to AdjacentMany in any
-// order and layout; only the probe schedule changes. Batches of 2^24 pairs
-// or more (beyond the index field) and calls without a scratch fall back to
-// AdjacentMany. Unlike AdjacentMany, a failing query drops the whole batch:
-// probes run out of request order, so "results so far" has no prefix
-// meaning.
-func (e *QueryEngine) AdjacentManySorted(pairs [][2]int, out []bool, sc *BatchScratch) ([]bool, error) {
-	if sc == nil || len(pairs) >= 1<<sortIdxBits {
-		return e.AdjacentMany(pairs, out)
-	}
-	start := len(out)
-	out = growBools(out, len(pairs))
-	res := out[start:]
-	if cap(sc.keys) < len(pairs) {
-		sc.keys = make([]uint64, len(pairs))
-	}
-	keys := sc.keys[:len(pairs)]
-	const maxSortKey = 1<<(64-sortIdxBits) - 1
-	for i, p := range pairs {
-		u, v := p[0], p[1]
-		if uint(u) >= uint(e.n) || uint(v) >= uint(e.n) {
-			return out[:start], fmt.Errorf("core: query (%d,%d): %w: (%d,%d) of %d", u, v, ErrVertexRange, u, v, e.n)
-		}
-		mu, mv := e.meta[u], e.meta[v]
-		off := mu.off
-		if mu.fat() && !mv.fat() {
-			off = mv.off
-		}
-		key := uint64(off) >> 6
-		if key > maxSortKey {
-			// Only the schedule degrades; the index bits stay exact.
-			key = maxSortKey
-		}
-		keys[i] = key<<sortIdxBits | uint64(i)
-	}
-	slices.Sort(keys)
-	var t QueryTally
-	for _, k := range keys {
-		i := int(k & (1<<sortIdxBits - 1))
-		ok, err := e.AdjacentTallied(pairs[i][0], pairs[i][1], &t)
-		if err != nil {
-			e.flushBatch(&t, len(pairs))
-			return out[:start], fmt.Errorf("core: query (%d,%d): %w", pairs[i][0], pairs[i][1], err)
-		}
-		res[i] = ok
 	}
 	e.flushBatch(&t, len(pairs))
 	return out, nil

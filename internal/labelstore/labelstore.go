@@ -29,16 +29,16 @@
 //
 // A v2 blob is byte-identical to the in-memory arena of a pipeline-built
 // core.Labeling, so Write(arena-backed file) is a header plus a single
-// contiguous copy, and Read hands the blob to core.NewQueryEngineFromArena
+// contiguous copy, and a loaded blob goes to core.NewQueryEngineFromArena
 // with zero relocation. A degree-ordered arena (core.LayoutDegree) rides the
 // same path with its permutation block: readers reconstruct id-indexed
 // lookup from the permutation, readers too old to know the "layout" param
 // fail loudly on the extra block (a blob-length mismatch) rather than
 // mis-answer. A distance store (params carry "scheme" = pll | bdist, see
 // scheme.go) rides the same v2 body with no extra block — its engine
-// parameters live entirely in the params. Read understands both versions;
-// Write emits v2 when the file is arena-backed (NewArenaFile,
-// NewPermutedArenaFile) and v1 otherwise.
+// parameters live entirely in the params. One parser, ReadBytes, understands
+// both versions (Read and Open feed it); Write emits v2 when the file is
+// arena-backed (NewArenaFile, NewPermutedArenaFile) and v1 otherwise.
 package labelstore
 
 import (
@@ -47,7 +47,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"strconv"
 
@@ -75,19 +74,14 @@ const (
 	layoutDegree = "degree"
 )
 
-// Hard caps on header-declared sizes, shared by the streaming (Read) and
-// in-memory (ReadBytes) parsers: a corrupt or adversarial header must fail
-// validation before it can drive a large allocation or an out-of-bounds
-// view.
+// Hard caps on header-declared sizes: a corrupt or adversarial header must
+// fail validation before it can drive a large allocation or an
+// out-of-bounds view.
 const (
 	maxParams    = 1 << 16
 	maxLabels    = 1 << 31
 	maxString    = 1 << 20
 	maxLabelBits = 1 << 34
-	// blobChunk bounds how much body is bought at a time on the streaming
-	// path, so a header declaring a huge blob over a short stream fails at
-	// EOF having over-allocated at most one chunk.
-	blobChunk = 64 << 20
 )
 
 // File is an in-memory representation of a label store.
@@ -97,7 +91,7 @@ type File struct {
 	Labels []bitstr.String
 	// arena, when non-nil, is the word-aligned slab the Labels are views
 	// into, with bitLens the per-label bit lengths. Set by NewArenaFile and
-	// by Read on v2 files; selects the v2 single-blob path in Write.
+	// by ReadBytes on v2 files; selects the v2 single-blob path in Write.
 	arena   []byte
 	bitLens []int
 	// order, when non-nil, is the arena's physical layout permutation: slab
@@ -224,6 +218,18 @@ func (f *File) IntParam(key string) (int, error) {
 	return n, nil
 }
 
+// atoiCanonical parses a structural param value (shard count, distance
+// params) as Write spells it, strconv.Itoa, and refuses every other
+// spelling of a number ("03", "+3"): Write re-emits these params from the
+// parsed values, so a second spelling would not survive a round trip.
+func atoiCanonical(val string) (int, error) {
+	v, err := strconv.Atoi(val)
+	if err == nil && strconv.Itoa(v) != val {
+		err = fmt.Errorf("non-canonical integer %q", val)
+	}
+	return v, err
+}
+
 // Write serializes the store: format v2 (single slab blob) for arena-backed
 // files, v1 (tightly packed per-label payloads) otherwise.
 func Write(w io.Writer, f *File) error {
@@ -339,211 +345,15 @@ func Write(w io.Writer, f *File) error {
 	return bw.Flush()
 }
 
-// Read parses a store written by Write.
+// Read parses a store written by Write: it reads r to the end and hands the
+// bytes to ReadBytes. The returned File owns that buffer, so a v2 arena is a
+// private heap copy of the body rather than a window into a mapping.
 func Read(r io.Reader) (*File, error) {
-	br := bufio.NewReader(r)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("%w: magic: %v", ErrFormat, err)
-	}
-	if m != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrFormat, m[:])
-	}
-	ver, err := br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("%w: version: %v", ErrFormat, err)
-	}
-	if ver != version1 && ver != version2 {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrFormat, ver)
-	}
-	scheme, err := readString(br)
-	if err != nil {
-		return nil, err
-	}
-	nParams, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: param count: %v", ErrFormat, err)
-	}
-	if nParams > maxParams {
-		return nil, fmt.Errorf("%w: %d params", ErrFormat, nParams)
-	}
-	params := make(map[string]string, nParams)
-	for i := uint64(0); i < nParams; i++ {
-		k, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
-		v, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
-		params[k] = v
-	}
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: label count: %v", ErrFormat, err)
-	}
-	if n > maxLabels {
-		return nil, fmt.Errorf("%w: %d labels", ErrFormat, n)
-	}
-	if ver == version2 {
-		return readSlab(br, scheme, params, int(n))
-	}
-	if lay, ok := params[layoutKey]; ok {
-		// v1 payloads are inherently id-ordered; a layout param can only be
-		// corruption or a format from the future. Refuse rather than guess.
-		return nil, fmt.Errorf("%w: v1 store declares layout %q", ErrFormat, lay)
-	}
-	if sh, ok := params[shardsKey]; ok {
-		// Likewise: sharding postdates v1, and loading a shard as a whole
-		// labeling would answer foreign queries from stripped stubs.
-		return nil, fmt.Errorf("%w: v1 store declares %s shards", ErrFormat, sh)
-	}
-	if sch, ok := params[schemeKey]; ok && sch != SchemeAdjacency {
-		// Distance stores are v2-only; a v1 file declaring one is corrupt or
-		// from a writer this reader cannot serve.
-		return nil, fmt.Errorf("%w: v1 store declares scheme %q", ErrFormat, sch)
-	}
-	// Arena decode: all label payloads land in one contiguous slab and the
-	// returned strings are (offset, bitlen) views into it — one allocation
-	// for the whole store instead of one per label, matching the layout
-	// core.(*Labeling).Compact produces.
-	type span struct {
-		off  int
-		bits int
-	}
-	spans := make([]span, n)
-	var slab []byte
-	for i := uint64(0); i < n; i++ {
-		bits, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: label %d length: %v", ErrFormat, i, err)
-		}
-		if bits > maxLabelBits {
-			return nil, fmt.Errorf("%w: label %d has %d bits", ErrFormat, i, bits)
-		}
-		nBytes := int((bits + 7) / 8)
-		off := len(slab)
-		slab = slices.Grow(slab, nBytes)[:off+nBytes]
-		if _, err := io.ReadFull(br, slab[off:]); err != nil {
-			return nil, fmt.Errorf("%w: label %d payload: %v", ErrFormat, i, err)
-		}
-		spans[i] = span{off: off, bits: int(bits)}
-	}
-	// The slab no longer moves; build the views.
-	labels := make([]bitstr.String, n)
-	for i, sp := range spans {
-		end := sp.off + (sp.bits+7)/8
-		s, err := bitstr.Wrap(slab[sp.off:end:end], sp.bits)
-		if err != nil {
-			return nil, fmt.Errorf("%w: label %d: %v", ErrFormat, i, err)
-		}
-		labels[i] = s
-	}
-	return &File{Scheme: scheme, Params: params, Labels: labels}, nil
-}
-
-// readSlab parses the v2 payload: n bit lengths, the layout permutation when
-// the params announce one, then the word-aligned slab as one blob. The blob
-// is read with a single contiguous ReadFull and becomes the store's arena;
-// labels are zero-copy views into it.
-func readSlab(br *bufio.Reader, scheme string, params map[string]string, n int) (*File, error) {
-	bitLens := make([]int, n)
-	var words int64
-	for i := range bitLens {
-		bits, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: label %d length: %v", ErrFormat, i, err)
-		}
-		if bits > maxLabelBits {
-			return nil, fmt.Errorf("%w: label %d has %d bits", ErrFormat, i, bits)
-		}
-		bitLens[i] = int(bits)
-		words += int64(bitstr.SlabWords(int(bits)))
-	}
-	var order []int32
-	if lay, ok := params[layoutKey]; ok {
-		if lay != layoutDegree {
-			return nil, fmt.Errorf("%w: unknown layout %q", ErrFormat, lay)
-		}
-		// Entries are range-checked here and permutation-checked (no label
-		// missing or repeated) by NewPermutedArenaFile below: a truncated or
-		// garbage block errors at load, it can never mis-answer.
-		order = make([]int32, n)
-		for i := range order {
-			v, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("%w: layout permutation entry %d: %v", ErrFormat, i, err)
-			}
-			if v >= uint64(n) {
-				return nil, fmt.Errorf("%w: layout permutation entry %d = %d of %d labels", ErrFormat, i, v, n)
-			}
-			order[i] = int32(v)
-		}
-	}
-	var sb *shardBlock
-	if val, ok := params[shardsKey]; ok {
-		count, err := parseShardCount(val)
-		if err != nil {
-			return nil, err
-		}
-		index, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: shard index: %v", ErrFormat, err)
-		}
-		fnByte, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("%w: shard ownership function: %v", ErrFormat, err)
-		}
-		owned, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: shard owned count: %v", ErrFormat, err)
-		}
-		if sb, err = newShardBlock(count, index, fnByte, owned, n); err != nil {
-			return nil, err
-		}
-	}
-	dist, err := parseSchemeParams(params, n)
-	if err != nil {
-		return nil, err
-	}
-	if dist != nil && sb != nil {
-		return nil, fmt.Errorf("%w: sharded store declares distance scheme %q", ErrFormat, dist.Kind)
-	}
-	// Validate the declared geometry before buying the body: the blob-length
-	// field must agree with what the bit lengths occupy (both mismatch
-	// directions are corruption), and the body is then read in bounded
-	// chunks so a header lying about a huge blob fails at EOF instead of
-	// forcing one giant allocation up front.
-	need := words << 3
-	blobLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: blob length: %v", ErrFormat, err)
-	}
-	if err := checkBlobLen(int64(blobLen), need); err != nil {
-		return nil, err
-	}
-	slab := make([]byte, 0, min(need, blobChunk))
-	for int64(len(slab)) < need {
-		chunk := int(min(need-int64(len(slab)), blobChunk))
-		off := len(slab)
-		slab = slices.Grow(slab, chunk)[:off+chunk]
-		if _, err := io.ReadFull(br, slab[off:]); err != nil {
-			return nil, fmt.Errorf("%w: blob payload at byte %d of %d: %v", ErrFormat, off, need, err)
-		}
-	}
-	f, err := NewPermutedArenaFile(scheme, params, slab, bitLens, order)
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
-	if sb != nil {
-		if err := validateShardFile(f, sb); err != nil {
-			return nil, err
-		}
-		f.shard = sb
-	}
-	f.dist = dist
-	return f, nil
+	return ReadBytes(data)
 }
 
 func writeUvarint(w *bufio.Writer, v uint64) error {
@@ -559,19 +369,4 @@ func writeString(w *bufio.Writer, s string) error {
 	}
 	_, err := w.WriteString(s)
 	return err
-}
-
-func readString(r *bufio.Reader) (string, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", fmt.Errorf("%w: string length: %v", ErrFormat, err)
-	}
-	if n > maxString {
-		return "", fmt.Errorf("%w: string of %d bytes", ErrFormat, n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("%w: string payload: %v", ErrFormat, err)
-	}
-	return string(buf), nil
 }

@@ -1,8 +1,6 @@
 package labelstore
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -12,19 +10,20 @@ import (
 )
 
 // ReadBytes parses a store from an in-memory byte slice — typically a
-// memory-mapped file (see Open). For a format-v2 store the body blob is
-// adopted zero-copy: the returned File's arena is a sub-slice of data and
-// the labels are views into it, so nothing is relocated and nothing is
-// written. data must therefore stay alive (and unmodified) for the lifetime
-// of the File; a read-only mapping is fine because, unlike the streaming
-// Read path, ReadBytes never masks padding bits in place. Files written by
-// Write carry zero padding (the slab writer guarantees it), so label
-// equality is unaffected; a hand-built v2 file with dirty padding would
-// compare labels unequal while still answering queries correctly (the query
-// engine only probes bits inside each label's declared length).
+// memory-mapped file (see Open) — and is the package's only parser. For a
+// format-v2 store the body blob is adopted zero-copy: the returned File's
+// arena is a sub-slice of data and the labels are views into it, so nothing
+// is relocated and nothing is written. data must therefore stay alive (and
+// unmodified) for the lifetime of the File; a read-only mapping is fine
+// because v2 padding bits are never masked in place. Files written by Write
+// carry zero padding (the slab writer guarantees it), so label equality is
+// unaffected; a hand-built v2 file with dirty padding would compare labels
+// unequal while still answering queries correctly (the query engine only
+// probes bits inside each label's declared length).
 //
-// Format-v1 payloads are not word-aligned, so they take the copying Read
-// path and the returned File does not reference data at all.
+// Format-v1 payloads are not word-aligned, so they are copied into one heap
+// slab (their padding bits masked there) and the returned File does not
+// reference data at all.
 func ReadBytes(data []byte) (*File, error) {
 	p := &byteParser{data: data}
 	if err := p.need(5); err != nil {
@@ -35,13 +34,7 @@ func ReadBytes(data []byte) (*File, error) {
 	}
 	ver := data[4]
 	p.off = 5
-	switch ver {
-	case version1:
-		// v1 labels are copied and masked on the heap anyway; reuse the
-		// streaming parser.
-		return Read(bytes.NewReader(data))
-	case version2:
-	default:
+	if ver != version1 && ver != version2 {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrFormat, ver)
 	}
 	scheme, err := p.string()
@@ -52,8 +45,11 @@ func ReadBytes(data []byte) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nParams > maxParams {
-		return nil, fmt.Errorf("%w: %d params", ErrFormat, nParams)
+	// Every param is at least two length bytes, every label at least one:
+	// counts the remaining input cannot hold fail before they size a map or
+	// a per-label table.
+	if nParams > maxParams || nParams > uint64(p.left()/2) {
+		return nil, fmt.Errorf("%w: %d params in %d bytes", ErrFormat, nParams, p.left())
 	}
 	params := make(map[string]string, nParams)
 	for i := uint64(0); i < nParams; i++ {
@@ -71,21 +67,21 @@ func ReadBytes(data []byte) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > maxLabels {
-		return nil, fmt.Errorf("%w: %d labels", ErrFormat, n)
+	if n > maxLabels || n > uint64(p.left()) {
+		return nil, fmt.Errorf("%w: %d labels in %d bytes", ErrFormat, n, p.left())
+	}
+	if ver == version1 {
+		return p.readV1(scheme, params, int(n))
 	}
 	bitLens := make([]int, n)
 	var words int64
 	for i := range bitLens {
-		bits, err := p.uvarint("label length")
+		bits, err := p.labelBits(i)
 		if err != nil {
-			return nil, fmt.Errorf("%w: label %d length: %v", ErrFormat, i, err)
+			return nil, err
 		}
-		if bits > maxLabelBits {
-			return nil, fmt.Errorf("%w: label %d has %d bits", ErrFormat, i, bits)
-		}
-		bitLens[i] = int(bits)
-		words += int64(bitstr.SlabWords(int(bits)))
+		bitLens[i] = bits
+		words += int64(bitstr.SlabWords(bits))
 	}
 	var order []int32
 	if lay, ok := params[layoutKey]; ok {
@@ -149,9 +145,9 @@ func ReadBytes(data []byte) (*File, error) {
 	if err := checkBlobLen(int64(blobLen), need); err != nil {
 		return nil, err
 	}
-	if int64(len(data)-p.off) < need {
+	if int64(p.left()) < need {
 		return nil, fmt.Errorf("%w: blob truncated: %d bytes of body, lengths require %d",
-			ErrFormat, len(data)-p.off, need)
+			ErrFormat, p.left(), need)
 	}
 	arena := data[p.off : p.off+int(need) : p.off+int(need)]
 	// SlabViewsPermuted (identity when order is nil) never masks, keeping
@@ -169,6 +165,57 @@ func ReadBytes(data []byte) (*File, error) {
 	}
 	f.dist = dist
 	return f, nil
+}
+
+// readV1 parses the tightly packed v1 payloads that follow the header. All
+// labels are copied into one contiguous heap slab and the returned strings
+// are views into it — one allocation for the whole store instead of one per
+// label, matching the layout core.(*Labeling).Compact produces — with
+// bitstr.Wrap masking each label's padding bits in the copy.
+func (p *byteParser) readV1(scheme string, params map[string]string, n int) (*File, error) {
+	if lay, ok := params[layoutKey]; ok {
+		// v1 payloads are inherently id-ordered; a layout param can only be
+		// corruption or a format from the future. Refuse rather than guess.
+		return nil, fmt.Errorf("%w: v1 store declares layout %q", ErrFormat, lay)
+	}
+	if sh, ok := params[shardsKey]; ok {
+		// Likewise: sharding postdates v1, and loading a shard as a whole
+		// labeling would answer foreign queries from stripped stubs.
+		return nil, fmt.Errorf("%w: v1 store declares %s shards", ErrFormat, sh)
+	}
+	if sch, ok := params[schemeKey]; ok && sch != SchemeAdjacency {
+		// Distance stores are v2-only; a v1 file declaring one is corrupt or
+		// from a writer this reader cannot serve.
+		return nil, fmt.Errorf("%w: v1 store declares scheme %q", ErrFormat, sch)
+	}
+	bitLens := make([]int, n)
+	var slab []byte
+	for i := range bitLens {
+		bits, err := p.labelBits(i)
+		if err != nil {
+			return nil, err
+		}
+		nBytes := (bits + 7) / 8
+		if err := p.need(nBytes); err != nil {
+			return nil, fmt.Errorf("%w: label %d payload: %v", ErrFormat, i, err)
+		}
+		slab = append(slab, p.data[p.off:p.off+nBytes]...)
+		p.off += nBytes
+		bitLens[i] = bits
+	}
+	// The slab no longer moves; build the views.
+	labels := make([]bitstr.String, n)
+	off := 0
+	for i, bits := range bitLens {
+		end := off + (bits+7)/8
+		s, err := bitstr.Wrap(slab[off:end:end], bits)
+		if err != nil {
+			return nil, fmt.Errorf("%w: label %d: %v", ErrFormat, i, err)
+		}
+		labels[i] = s
+		off = end
+	}
+	return &File{Scheme: scheme, Params: params, Labels: labels}, nil
 }
 
 // checkBlobLen validates the declared blob byte count against the size the
@@ -191,9 +238,12 @@ type byteParser struct {
 	off  int
 }
 
+// left is the number of unparsed bytes.
+func (p *byteParser) left() int { return len(p.data) - p.off }
+
 func (p *byteParser) need(n int) error {
-	if len(p.data)-p.off < n {
-		return fmt.Errorf("need %d bytes, have %d", n, len(p.data)-p.off)
+	if p.left() < n {
+		return fmt.Errorf("need %d bytes, have %d", n, p.left())
 	}
 	return nil
 }
@@ -205,6 +255,18 @@ func (p *byteParser) uvarint(what string) (uint64, error) {
 	}
 	p.off += n
 	return v, nil
+}
+
+// labelBits reads label i's bit length, capped at maxLabelBits.
+func (p *byteParser) labelBits(i int) (int, error) {
+	bits, err := p.uvarint("label length")
+	if err != nil {
+		return 0, fmt.Errorf("%w: label %d length: %v", ErrFormat, i, err)
+	}
+	if bits > maxLabelBits {
+		return 0, fmt.Errorf("%w: label %d has %d bits", ErrFormat, i, bits)
+	}
+	return int(bits), nil
 }
 
 func (p *byteParser) string() (string, error) {
@@ -252,9 +314,9 @@ func (m *MappedFile) Close() error {
 
 // Open maps the store at path and parses it with ReadBytes. A format-v2
 // store is adopted zero-copy from the mapping; a v1 store (or a platform
-// without mmap, or a file mmap refuses) is loaded through the plain copying
-// reader instead, so Open works everywhere and is merely fastest where it
-// matters. The caller owns the returned MappedFile and must Close it when
+// without mmap, or a file mmap refuses) is read onto the heap and parsed by
+// the same ReadBytes instead, so Open works everywhere and is merely fastest
+// where it matters. The caller owns the returned MappedFile and must Close it when
 // the labels are no longer in use.
 func Open(path string) (*MappedFile, error) {
 	start := time.Now()
@@ -269,12 +331,15 @@ func Open(path string) (*MappedFile, error) {
 		return nil, err
 	}
 	size := fi.Size()
-	if size <= 0 || size > int64(maxInt) {
-		return openFallback(f)
+	if size > int64(maxInt) {
+		return nil, fmt.Errorf("%w: store of %d bytes exceeds the address space", ErrFormat, size)
+	}
+	if size <= 0 {
+		return openFallback(f, 0)
 	}
 	data, err := mmapFile(f, int(size))
 	if err != nil {
-		return openFallback(f)
+		return openFallback(f, int(size))
 	}
 	store, err := ReadBytes(data)
 	if err != nil {
@@ -295,12 +360,14 @@ func Open(path string) (*MappedFile, error) {
 	return &MappedFile{File: store, mapping: data}, nil
 }
 
-// openFallback reads the store sequentially from the start of f.
-func openFallback(f *os.File) (*MappedFile, error) {
-	if _, err := f.Seek(0, 0); err != nil {
-		return nil, err
+// openFallback reads the store's size bytes (its Stat size) onto the heap
+// and parses them with ReadBytes.
+func openFallback(f *os.File, size int) (*MappedFile, error) {
+	data := make([]byte, size)
+	if _, err := f.ReadAt(data, 0); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
-	store, err := Read(bufio.NewReaderSize(f, 1<<20))
+	store, err := ReadBytes(data)
 	if err != nil {
 		return nil, err
 	}

@@ -57,9 +57,9 @@ func writeTemp(t *testing.T, data []byte) string {
 	return path
 }
 
-// TestReadBytesMatchesRead: the in-memory parser and the streaming parser
-// agree on every field of a v2 store, and the in-memory arena is the file's
-// body verbatim (zero-copy: a sub-slice of the input).
+// TestReadBytesMatchesRead: ReadBytes over an in-memory image and Read over
+// a stream of it agree on every field of a v2 store, and the in-memory arena
+// is the file's body verbatim (zero-copy: a sub-slice of the input).
 func TestReadBytesMatchesRead(t *testing.T) {
 	_, data := v2Fixture(t, 200, 5)
 	a, err := ReadBytes(data)
@@ -195,7 +195,7 @@ func uvarintLen(v uint64) int {
 	return binary.PutUvarint(buf[:], v)
 }
 
-// TestBlobLengthMismatchRejected: both parsers reject a blob-length field
+// TestBlobLengthMismatchRejected: Read and ReadBytes reject a blob-length field
 // that disagrees with the declared bit lengths, in both directions, before
 // constructing any views.
 func TestBlobLengthMismatchRejected(t *testing.T) {

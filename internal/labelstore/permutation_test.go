@@ -43,8 +43,8 @@ func permutedStore(t *testing.T, g *graph.Graph) (*File, *core.Labeling) {
 	return f, lab
 }
 
-// TestPermutedRoundTrip checks that a degree-ordered store survives both the
-// streaming and the zero-copy reader with its permutation intact: every label
+// TestPermutedRoundTrip checks that a degree-ordered store survives both Read
+// and the zero-copy ReadBytes with its permutation intact: every label
 // read back is byte-equal to the logical label, and the reconstructed engine
 // answers exactly the graph's adjacency.
 func TestPermutedRoundTrip(t *testing.T) {

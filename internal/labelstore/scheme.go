@@ -2,7 +2,6 @@ package labelstore
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/bitstr"
 	"repro/internal/core"
@@ -74,7 +73,7 @@ func (f *File) DistArena() (*core.DistArena, bool) {
 
 // NewDistArenaFile builds a distance store over a pipeline-built
 // core.DistArena (the output of the distance EncodeArena paths). Write
-// serializes it in format v2 with the scheme params; both readers hand the
+// serializes it in format v2 with the scheme params; the reader hands the
 // kind and engine parameters back via DistParams/DistArena.
 func NewDistArenaFile(scheme string, params map[string]string, a *core.DistArena) (*File, error) {
 	f, err := NewPermutedArenaFile(scheme, params, a.Slab, a.BitLens, a.Order)
@@ -90,7 +89,7 @@ func NewDistArenaFile(scheme string, params map[string]string, a *core.DistArena
 }
 
 // checkDistParams validates an engine parameter set against the label count,
-// shared by the constructor and both readers. The checks mirror what
+// shared by the constructor and the reader. The checks mirror what
 // core.NewDistEngineFromArena enforces so that a store accepted here is
 // structurally able to build an engine (the engine still walks every label).
 func checkDistParams(dp core.DistParams, n int) error {
@@ -162,7 +161,7 @@ func schemeIntParam(params map[string]string, key string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: scheme %q requires param %q", ErrFormat, params[schemeKey], key)
 	}
-	v, err := strconv.Atoi(val)
+	v, err := atoiCanonical(val)
 	if err != nil {
 		return 0, fmt.Errorf("%w: scheme param %q = %q: %v", ErrFormat, key, val, err)
 	}

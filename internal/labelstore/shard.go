@@ -2,7 +2,6 @@ package labelstore
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/bitstr"
 	"repro/internal/core"
@@ -71,7 +70,7 @@ func NewShardArenaFile(scheme string, params map[string]string, slab []byte, bit
 // validateShardFile cross-checks a shard block against the store's labels:
 // the map must be well-formed for this n, the recorded owned count must
 // match what the ownership function yields, and every foreign thin label
-// must be a header-only stub. Shared by the constructor and both readers.
+// must be a header-only stub. Shared by the constructor and the reader.
 func validateShardFile(f *File, sb *shardBlock) error {
 	n := len(f.Labels)
 	m := sb.m
@@ -108,7 +107,7 @@ func validateShardFile(f *File, sb *shardBlock) error {
 
 // parseShardCount interprets the "shards" param value.
 func parseShardCount(val string) (int, error) {
-	count, err := strconv.Atoi(val)
+	count, err := atoiCanonical(val)
 	if err != nil {
 		return 0, fmt.Errorf("%w: shards param %q: %v", ErrFormat, val, err)
 	}

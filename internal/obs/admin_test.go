@@ -24,6 +24,12 @@ func startAdmin(t *testing.T, a *AdminServer) string {
 	done := make(chan error, 1)
 	go func() { done <- a.Serve() }()
 	t.Cleanup(func() {
+		// Shutdown counts a connection that never carried a request
+		// (StateNew) as busy until it is 5 s old — the timeout below — and
+		// the default transport can leave such spares behind after
+		// concurrent GETs. Closing the client's idle conns first lets
+		// Shutdown return as soon as real requests have drained.
+		http.DefaultClient.CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := a.Shutdown(ctx); err != nil {

@@ -139,8 +139,8 @@ func TestDistEngineMatchesLegacyBounded(t *testing.T) {
 	}
 }
 
-// TestDistEngineBatchesMatchSingle pins DistMany, DistManySorted and
-// DistManyParallel to the single-query path, result cache on and off.
+// TestDistEngineBatchesMatchSingle pins DistMany and DistManyParallel to
+// the single-query path.
 func TestDistEngineBatchesMatchSingle(t *testing.T) {
 	g, err := gen.ChungLuPowerLaw(400, 2.5, 3, 23)
 	if err != nil {
@@ -163,47 +163,39 @@ func TestDistEngineBatchesMatchSingle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		for _, cacheBits := range []int{0, 10} {
-			if err := eng.EnableResultCache(cacheBits); err != nil {
+		pairs := make([][2]int, 0, 4096)
+		x := uint64(88172645463325252)
+		for i := 0; i < 4096; i++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			u := int(x % uint64(g.N()))
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			pairs = append(pairs, [2]int{u, int(x % uint64(g.N()))})
+		}
+		want := make([]int, len(pairs))
+		for i, p := range pairs {
+			if want[i], err = eng.Dist(p[0], p[1]); err != nil {
 				t.Fatal(err)
 			}
-			pairs := make([][2]int, 0, 4096)
-			x := uint64(88172645463325252)
-			for i := 0; i < 4096; i++ {
-				x ^= x << 13
-				x ^= x >> 7
-				x ^= x << 17
-				u := int(x % uint64(g.N()))
-				x ^= x << 13
-				x ^= x >> 7
-				x ^= x << 17
-				pairs = append(pairs, [2]int{u, int(x % uint64(g.N()))})
-			}
-			want := make([]int, len(pairs))
-			for i, p := range pairs {
-				if want[i], err = eng.Dist(p[0], p[1]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			check := func(label string, got []int, err error) {
-				t.Helper()
-				if err != nil {
-					t.Fatalf("%s cache=%d %s: %v", tc.name, cacheBits, label, err)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s cache=%d %s: pair %d = %d, want %d", tc.name, cacheBits, label, i, got[i], want[i])
-					}
-				}
-			}
-			got, err := eng.DistMany(pairs, nil)
-			check("DistMany", got, err)
-			var sc core.BatchScratch
-			got, err = eng.DistManySorted(pairs, nil, &sc)
-			check("DistManySorted", got, err)
-			got, err = eng.DistManyParallel(pairs, nil, 4)
-			check("DistManyParallel", got, err)
 		}
+		check := func(label string, got []int, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, label, err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s %s: pair %d = %d, want %d", tc.name, label, i, got[i], want[i])
+				}
+			}
+		}
+		got, err := eng.DistMany(pairs, nil)
+		check("DistMany", got, err)
+		got, err = eng.DistManyParallel(pairs, nil, 4)
+		check("DistManyParallel", got, err)
 	}
 }
 
@@ -231,18 +223,11 @@ func TestDistEngineZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.EnableResultCache(8); err != nil {
-			t.Fatal(err)
-		}
 		pairs := make([][2]int, 512)
 		for i := range pairs {
 			pairs[i] = [2]int{(i * 37) % g.N(), (i * 101) % g.N()}
 		}
 		out := make([]int, 0, len(pairs))
-		var sc core.BatchScratch
-		if _, err := eng.DistManySorted(pairs, out, &sc); err != nil {
-			t.Fatal(err) // warm the scratch outside the measured runs
-		}
 		if avg := testing.AllocsPerRun(10, func() {
 			if _, err := eng.Dist(pairs[0][0], pairs[0][1]); err != nil {
 				t.Fatal(err)
@@ -256,13 +241,6 @@ func TestDistEngineZeroAlloc(t *testing.T) {
 			}
 		}); avg != 0 {
 			t.Errorf("%s: DistMany allocates %.1f/op", tc.name, avg)
-		}
-		if avg := testing.AllocsPerRun(10, func() {
-			if _, err := eng.DistManySorted(pairs, out[:0], &sc); err != nil {
-				t.Fatal(err)
-			}
-		}); avg != 0 {
-			t.Errorf("%s: DistManySorted allocates %.1f/op", tc.name, avg)
 		}
 	}
 }
@@ -333,29 +311,6 @@ func BenchmarkDistEngineDistMany(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var err error
 				if out, err = eng.DistMany(pairs, out[:0]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDistEngineDistManySorted measures the offset-sorted batch path;
-// CI asserts 0 B/op, 0 allocs/op.
-func BenchmarkDistEngineDistManySorted(b *testing.B) {
-	for _, kind := range []string{"pll", "bdist"} {
-		b.Run(kind, func(b *testing.B) {
-			eng, pairs := benchDistEngine(b, kind)
-			out := make([]int, 0, len(pairs))
-			var sc core.BatchScratch
-			var err error
-			if out, err = eng.DistManySorted(pairs, out[:0], &sc); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if out, err = eng.DistManySorted(pairs, out[:0], &sc); err != nil {
 					b.Fatal(err)
 				}
 			}
