@@ -198,8 +198,10 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	}
 	// The msg=listening line is the readiness contract scripts wait for
 	// (scripts/serving_smoke.sh extracts the resolved port from its addr key).
-	logger.Info("listening", "addr", ln.Addr().String())
+	// Ready before the listening line: whoever reads that line may probe
+	// /readyz at once, and the bound listener already queues connections.
 	ready.Store(true)
+	logger.Info("listening", "addr", ln.Addr().String())
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)

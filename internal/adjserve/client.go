@@ -7,11 +7,11 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
@@ -142,15 +142,15 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// call is one outstanding request: the response fills dest (query), dists
-// (dist), infoN (info) or shard (shard-info), and done delivers the per-call
+// call is one outstanding request: the response fills ans (a pair frame of
+// plane), infoN (info) or shard (shard-info), and done delivers the per-call
 // verdict exactly once. tr, when non-nil, receives the response's trace
 // block (the reader goroutine writes it strictly before the done send, so
 // the waiting caller reads it race-free); caps, when non-nil, receives the
 // info response's trailing capability bits.
 type call struct {
-	dest  []bool
-	dists []int
+	plane *pairPlane
+	ans   []uint8
 	infoN *int
 	shard *ShardInfo
 	tr    *obs.SpanTally
@@ -173,8 +173,8 @@ func putCall(ca *call) {
 	case <-ca.done:
 	default:
 	}
-	ca.dest = nil
-	ca.dists = nil
+	ca.plane = nil
+	ca.ans = nil
 	ca.infoN = nil
 	ca.shard = nil
 	ca.tr = nil
@@ -182,10 +182,16 @@ func putCall(ca *call) {
 	callPool.Put(ca)
 }
 
-// callsPool recycles the per-batch slice of outstanding calls.
-var callsPool = sync.Pool{New: func() any { return new(callList) }}
+// batch is one pipelined batch call's scratch: the wire answers its frames
+// fill, one per pair, and the list of its outstanding calls. Router jobs own
+// one each; client calls recycle them through batchPool, so the steady-state
+// batch path performs zero heap allocations.
+type batch struct {
+	ans   []uint8
+	calls []*call
+}
 
-type callList struct{ s []*call }
+var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
 // clientConn is one live connection plus its FIFO of outstanding calls. The
 // reader goroutine owns the receive side; writers enqueue under the queue
@@ -417,56 +423,20 @@ func deliver(ca *call, payload []byte) error {
 			ca.done <- nil
 			return nil
 		}
-		if ca.dists != nil {
-			count, n := binary.Uvarint(body)
-			if n <= 0 || int(count) != len(ca.dists) {
-				return fmt.Errorf("%w: response for %d pairs, asked %d", ErrClosed, count, len(ca.dists))
-			}
-			body = body[n:]
-			for i := range ca.dists {
-				d, k := binary.Uvarint(body)
-				if k <= 0 {
-					return fmt.Errorf("%w: truncated distance %d of %d", ErrClosed, i, count)
-				}
-				body = body[k:]
-				if d > distBeyondWire {
-					return fmt.Errorf("%w: distance %d out of wire range", ErrClosed, d)
-				}
-				if d == distBeyondWire {
-					ca.dists[i] = graph.Unreachable
-				} else {
-					ca.dists[i] = int(d)
-				}
-			}
-			if traced {
-				if err := deliverTrace(ca, body); err != nil {
-					return err
-				}
-			} else if len(body) != 0 {
-				return fmt.Errorf("%w: %d trailing bytes after %d distances", ErrClosed, len(body), count)
-			}
-			ca.done <- nil
-			return nil
-		}
 		count, n := binary.Uvarint(body)
-		if n <= 0 || int(count) != len(ca.dest) {
-			return fmt.Errorf("%w: response for %d pairs, asked %d", ErrClosed, count, len(ca.dest))
+		if n <= 0 || count != uint64(len(ca.ans)) {
+			return fmt.Errorf("%w: response for %d pairs, asked %d", ErrClosed, count, len(ca.ans))
 		}
-		bits := body[n:]
-		need := (len(ca.dest) + 7) / 8
+		rest, err := ca.plane.decodeAnswers(body[n:], ca.ans)
+		if err != nil {
+			return err
+		}
 		if traced {
-			if len(bits) < need {
-				return fmt.Errorf("%w: %d answer bytes for %d pairs", ErrClosed, len(bits), len(ca.dest))
-			}
-			if err := deliverTrace(ca, bits[need:]); err != nil {
+			if err := deliverTrace(ca, rest); err != nil {
 				return err
 			}
-			bits = bits[:need]
-		} else if len(bits) != need {
-			return fmt.Errorf("%w: %d answer bytes for %d pairs", ErrClosed, len(bits), len(ca.dest))
-		}
-		for i := range ca.dest {
-			ca.dest[i] = bits[i/8]&(1<<(7-uint(i)%8)) != 0
+		} else if len(rest) != 0 {
+			return fmt.Errorf("%w: %d trailing bytes after %d answers", ErrClosed, len(rest), count)
 		}
 		ca.done <- nil
 		return nil
@@ -513,18 +483,81 @@ func (c *Client) sendFrame(cc *clientConn, payload []byte, ca *call) error {
 // split into pipelined frames of at most MaxBatch pairs; answers land in
 // pair order. On any error the appended results must not be trusted.
 func (c *Client) AdjacentMany(pairs [][2]int, out []bool) ([]bool, error) {
+	return remoteMany(c, adjPlane, pairs, out, nil, adjAnswer)
+}
+
+// remoteMany is the typed face of pairsMany: it runs the batch on a pooled
+// batch and converts its wire answers into out with answer. A traced call's
+// window opens first, so the stages cover the whole call.
+func remoteMany[A any](c *Client, p *pairPlane, pairs [][2]int, out []A, t *obs.SpanTally, answer func(uint8) A) ([]A, error) {
+	tw := c.openTrace(t)
 	start := len(out)
-	if need := start + len(pairs); cap(out) >= need {
-		out = out[:need]
-	} else {
-		grown := make([]bool, need)
-		copy(grown, out)
-		out = grown
+	out = slices.Grow(out, len(pairs))[:start+len(pairs)]
+	b := batchPool.Get().(*batch)
+	err := c.pairsMany(p, pairs, b, &tw)
+	if err == nil {
+		for i, a := range b.ans {
+			out[start+i] = answer(a)
+		}
+		c.closeTrace(&tw)
 	}
+	batchPool.Put(b)
+	if err != nil {
+		return out[:start], err
+	}
+	return out, nil
+}
+
+// callTrace is a traced call's open window; the zero value is an untraced
+// call.
+type callTrace struct {
+	t          *obs.SpanTally
+	start      time.Time
+	wireID     uint64 // t.ID on the wire, or 0 when the server lacks capTrace
+	peerBefore int64  // t's HopPeer total before the call
+	// encodeNs and flushNs are the client stages pairsMany measured.
+	encodeNs, flushNs int64
+}
+
+// openTrace opens the window of a traced call (nil t: untraced). The clock
+// starts before the capability probe: the first traced call on a connection
+// pays a caps round trip, and that is wall time the stages must cover (it
+// lands in the net residual).
+func (c *Client) openTrace(t *obs.SpanTally) callTrace {
+	if t == nil {
+		return callTrace{}
+	}
+	if t.ID == 0 {
+		t.ID = obs.NewTraceID()
+	}
+	tw := callTrace{t: t, start: time.Now()}
+	if c.supportsTrace() {
+		tw.wireID = t.ID
+	}
+	tw.peerBefore = t.SumHop(obs.HopPeer)
+	return tw
+}
+
+// closeTrace ends a successful traced call's window, appending the client
+// stages (see recordCallStages); a no-op for an untraced call.
+func (c *Client) closeTrace(tw *callTrace) {
+	if tw.t != nil {
+		c.recordCallStages(tw.t, tw.start, tw.encodeNs, tw.flushNs, tw.peerBefore)
+	}
+}
+
+// pairsMany is the client's one pipelined batch call, for either plane: it
+// splits pairs into frames of at most MaxBatch, writes them all before
+// reading any response, and leaves b.ans holding len(pairs) wire answers in
+// pair order. A traced call (tw from openTrace) carries tw.wireID on every
+// frame, merges each hop's stage report into tw.t, and measures the client's
+// encode and flush stages for closeTrace.
+func (c *Client) pairsMany(p *pairPlane, pairs [][2]int, b *batch, tw *callTrace) error {
+	t := tw.t
+	b.ans = slices.Grow(b.ans[:0], len(pairs))[:len(pairs)]
 	if len(pairs) == 0 {
-		return out, nil
+		return nil
 	}
-	dest := out[start:]
 	maxBatch := c.MaxBatch
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
@@ -534,26 +567,44 @@ func (c *Client) AdjacentMany(pairs [][2]int, out []bool) ([]bool, error) {
 	cc, err := c.ensureConn()
 	if err != nil {
 		c.mu.Unlock()
-		return out[:start], err
+		return err
 	}
-	cl := callsPool.Get().(*callList)
-	calls := cl.s[:0]
+	calls := b.calls[:0]
 	for off := 0; off < len(pairs); off += maxBatch {
 		chunk := pairs[off:min(off+maxBatch, len(pairs))]
-		c.req = appendQueryReq(c.req[:0], chunk)
+		var encStart time.Time
+		if t != nil {
+			encStart = time.Now()
+		}
+		c.req = appendPairsReq(c.req[:0], p.op, tw.wireID, chunk)
 		ca := getCall()
-		ca.dest = dest[off : off+len(chunk)]
-		if err := c.sendFrame(cc, c.req, ca); err != nil {
+		ca.plane = p
+		ca.ans = b.ans[off : off+len(chunk)]
+		if tw.wireID != 0 {
+			ca.tr = t
+		}
+		ferr := c.sendFrame(cc, c.req, ca)
+		if t != nil {
+			tw.encodeNs += int64(time.Since(encStart))
+		}
+		if ferr != nil {
 			c.mu.Unlock()
 			putCall(ca)
 			waitCalls(calls)
-			putCalls(cl, calls)
-			return out[:start], err
+			b.calls = putCalls(calls)
+			return ferr
 		}
 		calls = append(calls, ca)
 	}
+	var flushStart time.Time
+	if t != nil {
+		flushStart = time.Now()
+	}
 	if err := cc.bw.Flush(); err != nil {
 		cc.fail(fmt.Errorf("%w: %v", ErrClosed, err))
+	}
+	if t != nil {
+		tw.flushNs = int64(time.Since(flushStart))
 	}
 	c.mu.Unlock()
 
@@ -562,11 +613,8 @@ func (c *Client) AdjacentMany(pairs [][2]int, out []bool) ([]bool, error) {
 			err = cerr
 		}
 	}
-	putCalls(cl, calls)
-	if err != nil {
-		return out[:start], err
-	}
-	return out, nil
+	b.calls = putCalls(calls)
+	return err
 }
 
 // waitCalls drains calls that were already enqueued when a later frame
@@ -577,13 +625,13 @@ func waitCalls(calls []*call) {
 	}
 }
 
-// putCalls recycles a batch's calls (verdicts already consumed) and its list.
-func putCalls(cl *callList, calls []*call) {
+// putCalls recycles a batch's calls (verdicts already consumed) and returns
+// the emptied list for reuse.
+func putCalls(calls []*call) []*call {
 	for _, ca := range calls {
 		putCall(ca)
 	}
-	cl.s = calls[:0]
-	callsPool.Put(cl)
+	return calls[:0]
 }
 
 // Adjacent answers a single query remotely. For throughput, prefer
@@ -603,60 +651,7 @@ func (c *Client) Adjacent(u, v int) (bool, error) {
 // pipeline and recover exactly as AdjacentMany's do. Distances of 255 or more
 // are indistinguishable from unreachable on the wire; see the package doc.
 func (c *Client) DistMany(pairs [][2]int, out []int) ([]int, error) {
-	start := len(out)
-	if need := start + len(pairs); cap(out) >= need {
-		out = out[:need]
-	} else {
-		grown := make([]int, need)
-		copy(grown, out)
-		out = grown
-	}
-	if len(pairs) == 0 {
-		return out, nil
-	}
-	dest := out[start:]
-	maxBatch := c.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = DefaultMaxBatch
-	}
-
-	c.mu.Lock()
-	cc, err := c.ensureConn()
-	if err != nil {
-		c.mu.Unlock()
-		return out[:start], err
-	}
-	cl := callsPool.Get().(*callList)
-	calls := cl.s[:0]
-	for off := 0; off < len(pairs); off += maxBatch {
-		chunk := pairs[off:min(off+maxBatch, len(pairs))]
-		c.req = appendPairsReq(c.req[:0], opDist, chunk)
-		ca := getCall()
-		ca.dists = dest[off : off+len(chunk)]
-		if err := c.sendFrame(cc, c.req, ca); err != nil {
-			c.mu.Unlock()
-			putCall(ca)
-			waitCalls(calls)
-			putCalls(cl, calls)
-			return out[:start], err
-		}
-		calls = append(calls, ca)
-	}
-	if err := cc.bw.Flush(); err != nil {
-		cc.fail(fmt.Errorf("%w: %v", ErrClosed, err))
-	}
-	c.mu.Unlock()
-
-	for _, ca := range calls {
-		if cerr := <-ca.done; cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	putCalls(cl, calls)
-	if err != nil {
-		return out[:start], err
-	}
-	return out, nil
+	return remoteMany(c, distPlane, pairs, out, nil, distAnswer)
 }
 
 // Dist answers a single distance query remotely (graph.Unreachable for
@@ -720,103 +715,13 @@ func (c *Client) supportsTrace() bool {
 // wall time. Against a server without the capability the batch is sent
 // untraced and t records the client-side stages only.
 func (c *Client) AdjacentManyTrace(pairs [][2]int, out []bool, t *obs.SpanTally) ([]bool, error) {
-	if t == nil {
-		return c.AdjacentMany(pairs, out)
-	}
-	return c.manyTrace(pairs, out, t)
+	return remoteMany(c, adjPlane, pairs, out, t, adjAnswer)
 }
 
 // DistManyTrace is DistMany with end-to-end tracing; same contract as
 // AdjacentManyTrace.
 func (c *Client) DistManyTrace(pairs [][2]int, out []int, t *obs.SpanTally) ([]int, error) {
-	if t == nil {
-		return c.DistMany(pairs, out)
-	}
-	return c.manyTraceDist(pairs, out, t)
-}
-
-// manyTrace runs one traced adjacency batch: AdjacentMany's chunking,
-// pipelining and failure handling, plus per-call stage measurement around
-// the encode loop and the flush.
-func (c *Client) manyTrace(pairs [][2]int, boolOut []bool, t *obs.SpanTally) ([]bool, error) {
-	if t.ID == 0 {
-		t.ID = obs.NewTraceID()
-	}
-	// The clock starts before the capability probe: the first traced call
-	// on a connection pays a caps round trip, and that is wall time the
-	// stages must cover (it lands in the net residual).
-	start := time.Now()
-	wire := c.supportsTrace()
-	peerBefore := t.SumHop(obs.HopPeer)
-
-	outStart := len(boolOut)
-	if need := outStart + len(pairs); cap(boolOut) >= need {
-		boolOut = boolOut[:need]
-	} else {
-		grown := make([]bool, need)
-		copy(grown, boolOut)
-		boolOut = grown
-	}
-	if len(pairs) == 0 {
-		return boolOut, nil
-	}
-	dest := boolOut[outStart:]
-	maxBatch := c.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = DefaultMaxBatch
-	}
-
-	c.mu.Lock()
-	cc, err := c.ensureConn()
-	if err != nil {
-		c.mu.Unlock()
-		return boolOut[:outStart], err
-	}
-	cl := callsPool.Get().(*callList)
-	calls := cl.s[:0]
-	var encodeNs int64
-	for off := 0; off < len(pairs); off += maxBatch {
-		chunk := pairs[off:min(off+maxBatch, len(pairs))]
-		encStart := time.Now()
-		if wire {
-			c.req = appendPairsReqTrace(c.req[:0], opQuery, t.ID, chunk)
-		} else {
-			c.req = appendQueryReq(c.req[:0], chunk)
-		}
-		ca := getCall()
-		ca.dest = dest[off : off+len(chunk)]
-		if wire {
-			ca.tr = t
-		}
-		ferr := c.sendFrame(cc, c.req, ca)
-		encodeNs += int64(time.Since(encStart))
-		if ferr != nil {
-			c.mu.Unlock()
-			putCall(ca)
-			waitCalls(calls)
-			putCalls(cl, calls)
-			return boolOut[:outStart], ferr
-		}
-		calls = append(calls, ca)
-	}
-	flushStart := time.Now()
-	if err := cc.bw.Flush(); err != nil {
-		cc.fail(fmt.Errorf("%w: %v", ErrClosed, err))
-	}
-	flushNs := int64(time.Since(flushStart))
-	c.mu.Unlock()
-
-	for _, ca := range calls {
-		if cerr := <-ca.done; cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	putCalls(cl, calls)
-	if err != nil {
-		return boolOut[:outStart], err
-	}
-	c.recordCallStages(t, start, encodeNs, flushNs, peerBefore)
-	return boolOut, nil
+	return remoteMany(c, distPlane, pairs, out, t, distAnswer)
 }
 
 // recordCallStages appends the client-side stages of a completed traced
@@ -847,86 +752,6 @@ func (c *Client) recordCallStages(t *obs.SpanTally, start time.Time, encodeNs, f
 	t.Add(obs.StageEncode, obs.HopSelf, encodeNs)
 	t.Add(obs.StageFlush, obs.HopSelf, flushNs)
 	t.Add(obs.StageNet, obs.HopSelf, net)
-}
-
-// manyTraceDist is manyTrace's distance-plane body (separate because the
-// answer buffer is []int; the control flow is identical).
-func (c *Client) manyTraceDist(pairs [][2]int, out []int, t *obs.SpanTally) ([]int, error) {
-	if t.ID == 0 {
-		t.ID = obs.NewTraceID()
-	}
-	start := time.Now() // before the caps probe, as in manyTrace
-	wire := c.supportsTrace()
-	peerBefore := t.SumHop(obs.HopPeer)
-
-	outStart := len(out)
-	if need := outStart + len(pairs); cap(out) >= need {
-		out = out[:need]
-	} else {
-		grown := make([]int, need)
-		copy(grown, out)
-		out = grown
-	}
-	if len(pairs) == 0 {
-		return out, nil
-	}
-	dest := out[outStart:]
-	maxBatch := c.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = DefaultMaxBatch
-	}
-
-	c.mu.Lock()
-	cc, err := c.ensureConn()
-	if err != nil {
-		c.mu.Unlock()
-		return out[:outStart], err
-	}
-	cl := callsPool.Get().(*callList)
-	calls := cl.s[:0]
-	var encodeNs int64
-	for off := 0; off < len(pairs); off += maxBatch {
-		chunk := pairs[off:min(off+maxBatch, len(pairs))]
-		encStart := time.Now()
-		if wire {
-			c.req = appendPairsReqTrace(c.req[:0], opDist, t.ID, chunk)
-		} else {
-			c.req = appendPairsReq(c.req[:0], opDist, chunk)
-		}
-		ca := getCall()
-		ca.dists = dest[off : off+len(chunk)]
-		if wire {
-			ca.tr = t
-		}
-		ferr := c.sendFrame(cc, c.req, ca)
-		encodeNs += int64(time.Since(encStart))
-		if ferr != nil {
-			c.mu.Unlock()
-			putCall(ca)
-			waitCalls(calls)
-			putCalls(cl, calls)
-			return out[:outStart], ferr
-		}
-		calls = append(calls, ca)
-	}
-	flushStart := time.Now()
-	if err := cc.bw.Flush(); err != nil {
-		cc.fail(fmt.Errorf("%w: %v", ErrClosed, err))
-	}
-	flushNs := int64(time.Since(flushStart))
-	c.mu.Unlock()
-
-	for _, ca := range calls {
-		if cerr := <-ca.done; cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	putCalls(cl, calls)
-	if err != nil {
-		return out[:outStart], err
-	}
-	c.recordCallStages(t, start, encodeNs, flushNs, peerBefore)
-	return out, nil
 }
 
 // Info returns the number of vertices the server's engine answers for.

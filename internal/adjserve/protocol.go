@@ -84,7 +84,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
+	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
@@ -162,15 +164,17 @@ func appendErr(resp []byte, format string, args ...any) []byte {
 	return append(resp, msg...)
 }
 
-// appendQueryReq builds a query-request payload for a batch of pairs.
-func appendQueryReq(buf []byte, pairs [][2]int) []byte {
-	return appendPairsReq(buf, opQuery, pairs)
-}
-
-// appendPairsReq builds a pair-batch request payload under op (query or dist
-// — the two share request framing and differ only in the response shape).
-func appendPairsReq(buf []byte, op byte, pairs [][2]int) []byte {
-	buf = append(buf, op)
+// appendPairsReq builds a pair-batch request payload under op (query or
+// dist — the two share request framing and differ only in the answer codec).
+// A non-zero traceID prepends a trace context: the op byte carries
+// opTraceFlag, followed by the fixed-width trace id.
+func appendPairsReq(buf []byte, op byte, traceID uint64, pairs [][2]int) []byte {
+	if traceID != 0 {
+		buf = append(buf, op|opTraceFlag)
+		buf = binary.LittleEndian.AppendUint64(buf, traceID)
+	} else {
+		buf = append(buf, op)
+	}
 	buf = binary.AppendUvarint(buf, uint64(len(pairs)))
 	for _, p := range pairs {
 		buf = binary.AppendUvarint(buf, uint64(p[0]))
@@ -179,17 +183,147 @@ func appendPairsReq(buf []byte, op byte, pairs [][2]int) []byte {
 	return buf
 }
 
-// appendPairsReqTrace is appendPairsReq with a trace context prepended: the
-// op byte carries opTraceFlag, followed by the fixed-width trace id.
-func appendPairsReqTrace(buf []byte, op byte, id uint64, pairs [][2]int) []byte {
-	buf = append(buf, op|opTraceFlag)
-	buf = binary.LittleEndian.AppendUint64(buf, id)
-	buf = binary.AppendUvarint(buf, uint64(len(pairs)))
-	for _, p := range pairs {
-		buf = binary.AppendUvarint(buf, uint64(p[0]))
-		buf = binary.AppendUvarint(buf, uint64(p[1]))
+// pairPlane is one pair op's contract at the wire layers. Both ops share the
+// request framing (uvarint count, then uvarint u, v per pair), and every
+// layer holds answers in wire form, one byte per pair: 0/1 for adjacency,
+// the hop distance (distBeyondWire for unreachable or beyond the bound) for
+// distance. The ops differ only in the answer codec and the names used in
+// error frames. The router routes both with Router.route; it admits distance
+// frames only on a replica fleet, where route is owner-of-u.
+type pairPlane struct {
+	op       byte
+	name     string // the engine a server must hold: "server holds no <name> engine"
+	upstream string // what a router calls one of its upstreams in error frames
+	bits     bool   // codec: one MSB-first bit per pair, else one uvarint per pair
+}
+
+var (
+	adjPlane  = &pairPlane{op: opQuery, name: "adjacency", upstream: "shard", bits: true}
+	distPlane = &pairPlane{op: opDist, name: "distance", upstream: "replica"}
+)
+
+// planeOf returns the plane a request op selects, or nil for other ops.
+func planeOf(op byte) *pairPlane {
+	switch op {
+	case opQuery:
+		return adjPlane
+	case opDist:
+		return distPlane
 	}
-	return buf
+	return nil
+}
+
+// appendAnswers encodes a request-ordered vector of wire answers as the
+// plane's answer section.
+func (p *pairPlane) appendAnswers(resp []byte, ans []uint8) []byte {
+	if !p.bits {
+		for _, a := range ans {
+			resp = binary.AppendUvarint(resp, uint64(a))
+		}
+		return resp
+	}
+	base := len(resp)
+	for i := 0; i < (len(ans)+7)/8; i++ {
+		resp = append(resp, 0)
+	}
+	for i, a := range ans {
+		if a != 0 {
+			resp[base+i/8] |= 1 << (7 - uint(i)%8)
+		}
+	}
+	return resp
+}
+
+// decodeAnswers parses len(ans) answers from the front of body into ans and
+// returns the bytes after the answer section (a trace block, or nothing).
+// Errors are protocol corruption.
+func (p *pairPlane) decodeAnswers(body []byte, ans []uint8) ([]byte, error) {
+	if p.bits {
+		need := (len(ans) + 7) / 8
+		if len(body) < need {
+			return nil, fmt.Errorf("%w: %d answer bytes for %d pairs", ErrClosed, len(body), len(ans))
+		}
+		for i := range ans {
+			ans[i] = body[i/8] >> (7 - uint(i)%8) & 1
+		}
+		return body[need:], nil
+	}
+	for i := range ans {
+		d, k := binary.Uvarint(body)
+		if k <= 0 {
+			return nil, fmt.Errorf("%w: truncated distance %d of %d", ErrClosed, i, len(ans))
+		}
+		if d > distBeyondWire {
+			return nil, fmt.Errorf("%w: distance %d out of wire range", ErrClosed, d)
+		}
+		ans[i] = uint8(d)
+		body = body[k:]
+	}
+	return body, nil
+}
+
+// adjWire and distWire turn engine answers into wire answers; adjAnswer and
+// distAnswer turn them back. A distance of -1 (unreachable / beyond bound)
+// and anything that cannot fit under the sentinel both become distBeyondWire,
+// which decodes as graph.Unreachable.
+func adjWire(adj bool) uint8 {
+	if adj {
+		return 1
+	}
+	return 0
+}
+
+func distWire(d int) uint8 {
+	if d < 0 || d >= distBeyondWire {
+		return distBeyondWire
+	}
+	return uint8(d)
+}
+
+func adjAnswer(a uint8) bool { return a != 0 }
+
+func distAnswer(a uint8) int {
+	if a == distBeyondWire {
+		return graph.Unreachable
+	}
+	return int(a)
+}
+
+// readPairCount parses a pair frame's count, refusing batches over
+// maxBatch; the error text is the error frame's message.
+func readPairCount(body []byte, maxBatch int) (int, []byte, error) {
+	c, n := binary.Uvarint(body)
+	if n <= 0 {
+		return 0, nil, errors.New("bad pair count")
+	}
+	if c > uint64(maxBatch) {
+		return 0, nil, fmt.Errorf("batch of %d pairs exceeds limit %d", c, maxBatch)
+	}
+	return int(c), body[n:], nil
+}
+
+// readPairs decodes count pairs (at most the frame's batch limit) from the
+// front of body into dst's storage and returns them with the bytes after
+// them. On a malformed pair it returns the pairs before it and the error
+// frame's message; callers handle that prefix first, so a frame reports its
+// earliest bad pair. Decoding the whole frame in one call keeps the varint
+// loops inlined.
+func readPairs(dst [][2]uint64, body []byte, count int) ([][2]uint64, []byte, error) {
+	dst = slices.Grow(dst[:0], count)[:count]
+	for i := range dst {
+		u, nu := binary.Uvarint(body)
+		if nu <= 0 {
+			return dst[:i], nil, fmt.Errorf("pair %d: bad u", i)
+		}
+		body = body[nu:]
+		v, nv := binary.Uvarint(body)
+		if nv <= 0 {
+			return dst[:i], nil, fmt.Errorf("pair %d: bad v", i)
+		}
+		body = body[nv:]
+		dst[i] = [2]uint64{u, v}
+	}
+	return dst, body, nil
 }
 
 // appendTraceTally appends a response trace block carrying t's stages:
@@ -208,6 +342,19 @@ func appendTraceTally(resp []byte, t *obs.SpanTally) []byte {
 		resp = binary.AppendUvarint(resp, uint64(ns))
 	}
 	return resp
+}
+
+// echoTrace returns the answer to a traced request: an OK answer to a pair
+// frame carries opTraceFlag and t's stages. Anything else stays
+// byte-identical to the untraced protocol — error and shed responses, and
+// the info and shard-info answers (trace contexts are defined for pair
+// frames only, and the shard-info parser rejects trailing bytes).
+func echoTrace(resp []byte, op byte, t *obs.SpanTally) []byte {
+	if len(resp) == 0 || resp[0] != statusOK || planeOf(op) == nil {
+		return resp
+	}
+	resp[0] |= opTraceFlag
+	return appendTraceTally(resp, t)
 }
 
 // errMalformedTrace poisons a call whose response trace block cannot be
@@ -243,16 +390,6 @@ func parseTraceBlock(b []byte, t *obs.SpanTally, hop uint8) error {
 		return errMalformedTrace
 	}
 	return nil
-}
-
-// wireDist clamps an engine distance to its on-wire byte: -1 (unreachable /
-// beyond bound) and anything that cannot fit under the sentinel both become
-// distBeyondWire.
-func wireDist(d int) uint64 {
-	if d < 0 || d >= distBeyondWire {
-		return distBeyondWire
-	}
-	return uint64(d)
 }
 
 // frameHeader encodes a payload length.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -339,16 +340,14 @@ func (r *Router) Close() error {
 	return err
 }
 
-// shardJob is one shard's slice of a query or dist frame, handed to that
-// shard's worker goroutine and joined on wg. op selects the upstream call
-// (opQuery fills out, opDist fills dists). pairs/idx/out/dists grow to the
+// shardJob is one upstream's slice of a pair frame, handed to that upstream's
+// worker goroutine and joined on wg. pairs, idx and b grow to the
 // connection's working set and are reused for every subsequent frame.
 type shardJob struct {
-	op    byte
+	plane *pairPlane
 	pairs [][2]int
 	idx   []int32 // request positions of pairs, for the scatter
-	out   []bool
-	dists []int
+	b     batch   // the upstream call's wire answers (one per pair) and calls
 	err   error
 	wg    *sync.WaitGroup
 	// traced selects the traced upstream call; tr then accumulates the
@@ -361,13 +360,14 @@ type shardJob struct {
 }
 
 // routerBufs is the pooled per-connection scratch: request/response payloads
-// plus one shardJob (sub-batch, scatter indexes, answers) per shard, the
-// gathered distance slice, and the join WaitGroup — everything a frame
+// plus one shardJob (sub-batch, scatter indexes, answers) per upstream, the
+// request-ordered answer gather, and the join WaitGroup — everything a frame
 // needs, so the steady-state fan-out performs zero heap allocations.
 type routerBufs struct {
 	req, resp []byte
 	jobs      []shardJob
-	dists     []int // request-ordered distance gather
+	pairs     [][2]uint64 // a pair frame's decoded pairs
+	ans       []uint8
 	wg        sync.WaitGroup
 }
 
@@ -481,23 +481,13 @@ func (r *Router) worker(s int, jobs <-chan *shardJob) {
 	m := &r.metrics.Upstreams[s]
 	for job := range jobs {
 		start := time.Now()
-		var err error
-		if job.op == opDist {
-			var dists []int
-			if job.traced {
-				dists, err = c.DistManyTrace(job.pairs, job.dists[:0], &job.tr)
-			} else {
-				dists, err = c.DistMany(job.pairs, job.dists[:0])
-			}
-			job.dists = dists
-		} else {
-			var out []bool
-			if job.traced {
-				out, err = c.AdjacentManyTrace(job.pairs, job.out[:0], &job.tr)
-			} else {
-				out, err = c.AdjacentMany(job.pairs, job.out[:0])
-			}
-			job.out = out
+		var tw callTrace
+		if job.traced {
+			tw = c.openTrace(&job.tr)
+		}
+		err := c.pairsMany(job.plane, job.pairs, &job.b, &tw)
+		if err == nil {
+			c.closeTrace(&tw)
 		}
 		m.Batches.Inc()
 		m.Pairs.Add(int64(len(job.pairs)))
@@ -575,9 +565,8 @@ func (r *Router) routeFrame(req []byte, bufs *routerBufs, chans []chan *shardJob
 		}
 		t.Add(obs.StageQueue, obs.HopSelf, queueNs)
 		t.Add(obs.StageRead, obs.HopSelf, readNs)
-		if tc.remote && len(resp) > 0 && resp[0] == statusOK {
-			resp[0] |= opTraceFlag
-			resp = appendTraceTally(resp, &t)
+		if tc.remote {
+			resp = echoTrace(resp, op, &t)
 		}
 		if t.ID == 0 {
 			t.ID = obs.NewTraceID()
@@ -639,44 +628,35 @@ func (r *Router) process(req []byte, bufs *routerBufs, chans []chan *shardJob, t
 		resp = binary.AppendUvarint(resp, 0)
 		resp = append(resp, byte(core.ShardRange))
 		return append(resp, r.fatBits...), 0
-	case opQuery:
-		count, k := binary.Uvarint(body)
-		if k <= 0 {
-			return appendErr(resp, "bad pair count"), 0
-		}
-		if count > uint64(r.maxBatch) {
-			return appendErr(resp, "batch of %d pairs exceeds limit %d", count, r.maxBatch), 0
-		}
-		return r.processQuery(body[k:], resp, int(count), bufs, chans, tp)
-	case opDist:
-		if !r.replicas {
+	case opQuery, opDist:
+		p := planeOf(op)
+		if p == distPlane && !r.replicas {
 			return appendErr(resp, "distance queries require a replica fleet (this router fronts a %d-shard partition)", len(r.clients)), 0
 		}
-		count, k := binary.Uvarint(body)
-		if k <= 0 {
-			return appendErr(resp, "bad pair count"), 0
-		}
-		if count > uint64(r.maxBatch) {
-			return appendErr(resp, "batch of %d pairs exceeds limit %d", count, r.maxBatch), 0
-		}
-		return r.processDist(body[k:], resp, int(count), bufs, chans, tp)
+		return r.routePairs(p, body, resp, bufs, chans, tp)
 	default:
 		return appendErr(resp, "unknown op %d", op), 0
 	}
 }
 
-// processQuery decodes, routes, fans out and scatters one query batch.
-func (r *Router) processQuery(body, resp []byte, count int, bufs *routerBufs, chans []chan *shardJob, tp *obs.SpanTally) (out []byte, queries int) {
+// routePairs is the router's one scatter/gather, for either plane: decode
+// the pairs and route each with Router.route, fan the per-upstream
+// sub-batches out concurrently, and gather the upstreams' wire answers back
+// into request order for the plane's codec.
+func (r *Router) routePairs(p *pairPlane, body, resp []byte, bufs *routerBufs, chans []chan *shardJob, tp *obs.SpanTally) (out []byte, queries int) {
 	var tScatter time.Time
 	if tp != nil {
 		tScatter = time.Now()
 	}
+	count, body, err := readPairCount(body, r.maxBatch)
+	if err != nil {
+		return appendErr(resp, "%v", err), 0
+	}
 	jobs := bufs.jobs
 	for s := range jobs {
-		jobs[s].op = opQuery
+		jobs[s].plane = p
 		jobs[s].pairs = jobs[s].pairs[:0]
 		jobs[s].idx = jobs[s].idx[:0]
-		jobs[s].out = jobs[s].out[:0]
 		jobs[s].err = nil
 		jobs[s].traced = tp != nil
 		if tp != nil {
@@ -684,17 +664,10 @@ func (r *Router) processQuery(body, resp []byte, count int, bufs *routerBufs, ch
 			jobs[s].tr.ID = tp.ID
 		}
 	}
-	for i := 0; i < count; i++ {
-		u, nu := binary.Uvarint(body)
-		if nu <= 0 {
-			return appendErr(resp, "pair %d: bad u", i), 0
-		}
-		body = body[nu:]
-		v, nv := binary.Uvarint(body)
-		if nv <= 0 {
-			return appendErr(resp, "pair %d: bad v", i), 0
-		}
-		body = body[nv:]
+	pairs, rest, rerr := readPairs(bufs.pairs, body, count)
+	bufs.pairs = pairs
+	for i, pr := range pairs {
+		u, v := pr[0], pr[1]
 		if u >= uint64(r.n) || v >= uint64(r.n) {
 			return appendErr(resp, "pair %d (%d,%d): vertex out of range [0,%d)", i, u, v, r.n), 0
 		}
@@ -702,11 +675,15 @@ func (r *Router) processQuery(body, resp []byte, count int, bufs *routerBufs, ch
 		jobs[s].pairs = append(jobs[s].pairs, [2]int{int(u), int(v)})
 		jobs[s].idx = append(jobs[s].idx, int32(i))
 	}
-	if len(body) != 0 {
-		return appendErr(resp, "%d trailing bytes after %d pairs", len(body), count), 0
+	switch {
+	case rerr != nil:
+		return appendErr(resp, "%v", rerr), 0
+	case len(rest) != 0:
+		return appendErr(resp, "%d trailing bytes after %d pairs", len(rest), count), 0
 	}
-	// Scatter phase: one channel send per active shard, answered concurrently
-	// by the connection's workers, joined on the shared WaitGroup.
+	// Scatter phase: one channel send per active upstream, answered
+	// concurrently by the connection's workers, joined on the shared
+	// WaitGroup.
 	active := 0
 	for s := range jobs {
 		if len(jobs[s].pairs) > 0 {
@@ -730,12 +707,12 @@ func (r *Router) processQuery(body, resp []byte, count int, bufs *routerBufs, ch
 		tGather = time.Now()
 		tp.Add(obs.StageUpstream, obs.HopSelf, int64(tGather.Sub(tUpstream)))
 	}
-	// A shed from one shard poisons only the sub-batches routed to it: the
-	// downstream frame that needed the overloaded shard answers with a shed
-	// frame (so the client sees ErrShed, a retryable refusal, not a generic
-	// failure), while frames touching only live shards keep answering. A
-	// non-shed error wins over a shed when both happen in one frame — it is
-	// the more informative verdict.
+	// A shed from one upstream poisons only the sub-batches routed to it: the
+	// downstream frame that needed the overloaded upstream answers with a
+	// shed frame (so the client sees ErrShed, a retryable refusal, not a
+	// generic failure), while frames touching only live upstreams keep
+	// answering. A non-shed error wins over a shed when both happen in one
+	// frame — it is the more informative verdict.
 	shed := false
 	for s := range jobs {
 		if err := jobs[s].err; err != nil {
@@ -743,135 +720,24 @@ func (r *Router) processQuery(body, resp []byte, count int, bufs *routerBufs, ch
 				shed = true
 				continue
 			}
-			return appendErr(resp, "shard %d (%d pairs): %v", s, len(jobs[s].pairs), err), 0
+			return appendErr(resp, "%s %d (%d pairs): %v", p.upstream, s, len(jobs[s].pairs), err), 0
 		}
 	}
 	if shed {
 		return appendShed(resp), 0
 	}
-	// Gather phase: fold each shard's bit answers back into request order.
-	resp = append(resp, statusOK)
-	resp = binary.AppendUvarint(resp, uint64(count))
-	bitsOff := len(resp)
-	for i := 0; i < (count+7)/8; i++ {
-		resp = append(resp, 0)
-	}
+	// Gather phase: fold each upstream's answers back into request order.
+	ans := slices.Grow(bufs.ans[:0], count)[:count]
+	bufs.ans = ans
 	for s := range jobs {
 		idx := jobs[s].idx
-		for j, adj := range jobs[s].out {
-			if adj {
-				i := idx[j]
-				resp[bitsOff+int(i)/8] |= 1 << (7 - uint(i)%8)
-			}
+		for j, a := range jobs[s].b.ans[:len(idx)] {
+			ans[idx[j]] = a
 		}
 	}
-	if tp != nil {
-		for s := range jobs {
-			if len(jobs[s].pairs) > 0 {
-				mergeShardTrace(tp, &jobs[s].tr, uint8(s))
-			}
-		}
-		tp.Add(obs.StageGather, obs.HopSelf, int64(time.Since(tGather)))
-	}
-	return resp, count
-}
-
-// processDist decodes, routes, fans out and gathers one distance batch on a
-// replica fleet. The shape mirrors processQuery; only the routing rule
-// (owner-of-u) and the response encoding (uvarint distances, scattered
-// through a request-ordered int slice because uvarints have no fixed offsets)
-// differ.
-func (r *Router) processDist(body, resp []byte, count int, bufs *routerBufs, chans []chan *shardJob, tp *obs.SpanTally) (out []byte, queries int) {
-	var tScatter time.Time
-	if tp != nil {
-		tScatter = time.Now()
-	}
-	jobs := bufs.jobs
-	for s := range jobs {
-		jobs[s].op = opDist
-		jobs[s].pairs = jobs[s].pairs[:0]
-		jobs[s].idx = jobs[s].idx[:0]
-		jobs[s].dists = jobs[s].dists[:0]
-		jobs[s].err = nil
-		jobs[s].traced = tp != nil
-		if tp != nil {
-			jobs[s].tr.Reset()
-			jobs[s].tr.ID = tp.ID
-		}
-	}
-	for i := 0; i < count; i++ {
-		u, nu := binary.Uvarint(body)
-		if nu <= 0 {
-			return appendErr(resp, "pair %d: bad u", i), 0
-		}
-		body = body[nu:]
-		v, nv := binary.Uvarint(body)
-		if nv <= 0 {
-			return appendErr(resp, "pair %d: bad v", i), 0
-		}
-		body = body[nv:]
-		if u >= uint64(r.n) || v >= uint64(r.n) {
-			return appendErr(resp, "pair %d (%d,%d): vertex out of range [0,%d)", i, u, v, r.n), 0
-		}
-		s := r.ownerOf(int(u))
-		jobs[s].pairs = append(jobs[s].pairs, [2]int{int(u), int(v)})
-		jobs[s].idx = append(jobs[s].idx, int32(i))
-	}
-	if len(body) != 0 {
-		return appendErr(resp, "%d trailing bytes after %d pairs", len(body), count), 0
-	}
-	active := 0
-	for s := range jobs {
-		if len(jobs[s].pairs) > 0 {
-			active++
-		}
-	}
-	var tUpstream time.Time
-	if tp != nil {
-		tUpstream = time.Now()
-		tp.Add(obs.StageScatter, obs.HopSelf, int64(tUpstream.Sub(tScatter)))
-	}
-	bufs.wg.Add(active)
-	for s := range jobs {
-		if len(jobs[s].pairs) > 0 {
-			chans[s] <- &jobs[s]
-		}
-	}
-	bufs.wg.Wait()
-	var tGather time.Time
-	if tp != nil {
-		tGather = time.Now()
-		tp.Add(obs.StageUpstream, obs.HopSelf, int64(tGather.Sub(tUpstream)))
-	}
-	shed := false
-	for s := range jobs {
-		if err := jobs[s].err; err != nil {
-			if errors.Is(err, ErrShed) {
-				shed = true
-				continue
-			}
-			return appendErr(resp, "replica %d (%d pairs): %v", s, len(jobs[s].pairs), err), 0
-		}
-	}
-	if shed {
-		return appendShed(resp), 0
-	}
-	all := bufs.dists[:0]
-	for i := 0; i < count; i++ {
-		all = append(all, 0)
-	}
-	for s := range jobs {
-		idx := jobs[s].idx
-		for j, d := range jobs[s].dists {
-			all[idx[j]] = d
-		}
-	}
-	bufs.dists = all
 	resp = append(resp, statusOK)
 	resp = binary.AppendUvarint(resp, uint64(count))
-	for _, d := range all {
-		resp = binary.AppendUvarint(resp, wireDist(d))
-	}
+	resp = p.appendAnswers(resp, ans)
 	if tp != nil {
 		for s := range jobs {
 			if len(jobs[s].pairs) > 0 {

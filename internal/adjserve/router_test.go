@@ -299,33 +299,55 @@ func TestRouterConcurrent(t *testing.T) {
 
 // TestRouterZeroAlloc asserts the pooled steady state of the whole in-process
 // chain — downstream client encode, router routing + fan-out + scatter, and
-// three shard servers: zero heap allocations per batch.
+// the upstream servers: zero heap allocations per batch, for adjacency over
+// three shards and for distance over a 2-replica fleet.
 func TestRouterZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under the race detector")
 	}
 	full, engines := shardEngines(t, 400, 3, core.ShardRange, 7)
 	addrs, _ := startShardFleet(t, engines)
-	addr, _ := startRouter(t, addrs, 0)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
+	adjAddr, _ := startRouter(t, addrs, 0)
+	dist := testDistEngines(t, 400, 7)["pll"]
+	replicas := make([]string, 2)
+	for i := range replicas {
+		replicas[i], _ = startDistServer(t, dist, 0)
 	}
-	defer c.Close()
+	distAddr, _ := startRouter(t, replicas, 0)
 	pairs := randomPairs(full.N(), 512, 7)
-	out := make([]bool, 0, len(pairs))
-	for i := 0; i < 8; i++ {
-		if _, err := c.AdjacentMany(pairs, out[:0]); err != nil {
+	bools := make([]bool, 0, len(pairs))
+	ints := make([]int, 0, len(pairs))
+	for _, tc := range []struct {
+		name, addr string
+		batch      func(c *Client) error
+	}{
+		{"adjacency/3-shards", adjAddr, func(c *Client) error {
+			_, err := c.AdjacentMany(pairs, bools[:0])
+			return err
+		}},
+		{"distance/2-replicas", distAddr, func(c *Client) error {
+			_, err := c.DistMany(pairs, ints[:0])
+			return err
+		}},
+	} {
+		c, err := Dial(tc.addr)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := c.AdjacentMany(pairs, out[:0]); err != nil {
-			t.Fatal(err)
+		defer c.Close()
+		for i := 0; i < 8; i++ {
+			if err := tc.batch(c); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("routed AdjacentMany allocates %.1f times per batch, want 0", allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := tc.batch(c); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: routed batch allocates %.1f times per batch, want 0", tc.name, allocs)
+		}
 	}
 }
 

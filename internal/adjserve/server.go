@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -263,10 +264,12 @@ func (s *Server) Close() error {
 }
 
 // connBuffers is the pooled per-connection scratch: request and response
-// payload buffers, both growing to the connection's largest frame and then
-// reused for every subsequent frame.
+// payload buffers and the frame's wire answers, all growing to the
+// connection's largest frame and then reused for every subsequent frame.
 type connBuffers struct {
 	req, resp []byte
+	pairs     [][2]uint64 // a pair frame's decoded pairs
+	ans       []uint8     // and its wire answers
 }
 
 var bufPool = sync.Pool{New: func() any { return new(connBuffers) }}
@@ -478,7 +481,7 @@ func (s *Server) serveFrame(req []byte, bufs *connBuffers, start time.Time, read
 		tc.sample = true
 		tc.id = obs.NewTraceID()
 	}
-	resp, queries := s.process(req, bufs)
+	resp, queries, engine := s.process(req, bufs)
 	probeNs := int64(time.Since(start))
 	switch {
 	case len(resp) > 0 && resp[0] == statusErr:
@@ -493,7 +496,7 @@ func (s *Server) serveFrame(req []byte, bufs *connBuffers, start time.Time, read
 		} else {
 			h.Observe(probeNs)
 		}
-		s.observeProbe(op, probeNs, tc.id)
+		engine.ObserveProbe(probeNs, tc.id)
 	}
 	total := queueNs + readNs + probeNs
 	slowNs := sink.SlowThreshold()
@@ -504,11 +507,8 @@ func (s *Server) serveFrame(req []byte, bufs *connBuffers, start time.Time, read
 		t.Add(obs.StageQueue, obs.HopSelf, queueNs)
 		t.Add(obs.StageRead, obs.HopSelf, readNs)
 		t.Add(obs.StageProbe, obs.HopSelf, probeNs)
-		if tc.remote && len(resp) > 0 && resp[0] == statusOK {
-			// Echo the stages to the caller. Error and shed responses stay
-			// byte-identical to the untraced protocol.
-			resp[0] |= opTraceFlag
-			resp = appendTraceTally(resp, &t)
+		if tc.remote {
+			resp = echoTrace(resp, op, &t)
 		}
 		if t.ID == 0 {
 			t.ID = obs.NewTraceID() // slow-captured but never sampled
@@ -525,29 +525,15 @@ func (s *Server) serveFrame(req []byte, bufs *connBuffers, start time.Time, read
 	return resp, queries
 }
 
-// observeProbe charges a successful frame's probe time to the serving
-// engine's probe histogram, exemplar-stamped when the frame was traced.
-func (s *Server) observeProbe(op byte, ns int64, traceID uint64) {
-	switch op {
-	case opQuery:
-		if s.engine != nil {
-			s.engine.ObserveProbe(ns, traceID)
-		}
-	case opDist:
-		if s.dist != nil {
-			s.dist.ObserveProbe(ns, traceID)
-		}
-	}
-}
-
 // process answers one request payload, appending the response payload to
 // bufs.resp (reused from its start) and returning it along with the number of
-// adjacency queries answered. Malformed requests and engine errors produce
-// error frames; only I/O can kill the connection.
-func (s *Server) process(req []byte, bufs *connBuffers) (out []byte, queries int) {
+// pairs answered and the metrics of the engine that answered them. Malformed
+// requests and engine errors produce error frames; only I/O can kill the
+// connection.
+func (s *Server) process(req []byte, bufs *connBuffers) (out []byte, queries int, engine *core.EngineMetrics) {
 	resp := bufs.resp[:0]
 	if len(req) == 0 {
-		return appendErr(resp, "empty request"), 0
+		return appendErr(resp, "empty request"), 0, nil
 	}
 	op, body := req[0], req[1:]
 	switch op {
@@ -556,133 +542,97 @@ func (s *Server) process(req []byte, bufs *connBuffers) (out []byte, queries int
 		resp = binary.AppendUvarint(resp, uint64(s.servedN()))
 		// Trailing capability advertisement (see the package doc): clients
 		// that predate capabilities stop reading after the vertex count.
-		return binary.AppendUvarint(resp, localCaps), 0
+		return binary.AppendUvarint(resp, localCaps), 0, nil
 	case opShardInfo:
-		if s.engine == nil {
-			// Distance-only server: the trivial 1-shard map with an empty fat
-			// set, so a router can admit it into a replica fleet.
-			n := s.servedN()
-			resp = append(resp, statusOK)
-			resp = binary.AppendUvarint(resp, uint64(n))
-			resp = binary.AppendUvarint(resp, 1)
-			resp = binary.AppendUvarint(resp, 0)
-			resp = append(resp, byte(core.ShardRange))
-			for i := 0; i < (n+7)/8; i++ {
-				resp = append(resp, 0)
-			}
-			return resp, 0
-		}
-		// An unsharded engine reports the trivial 1-shard map, so a router can
-		// front plain servers with the same handshake.
-		m, ok := s.engine.Shard()
-		if !ok {
-			m = core.ShardMap{Count: 1, Index: 0, Fn: core.ShardRange}
-		}
-		resp = append(resp, statusOK)
-		resp = binary.AppendUvarint(resp, uint64(s.engine.N()))
-		resp = binary.AppendUvarint(resp, uint64(m.Count))
-		resp = binary.AppendUvarint(resp, uint64(m.Index))
-		resp = append(resp, byte(m.Fn))
-		return s.engine.AppendFatBits(resp), 0
-	case opDist:
+		return s.appendShardInfo(resp), 0, nil
+	case opQuery, opDist:
 		// Shed before touching the payload: under overload the whole point is
 		// that a refused frame costs one status byte, not a batch of probes.
 		// Info and shard-info frames are never shed — they are O(1) and
 		// routers need the handshake to survive an overloaded fleet.
 		if s.shouldShed() {
-			return appendShed(resp), 0
+			return appendShed(resp), 0, nil
 		}
-		if s.dist == nil {
-			return appendErr(resp, "server holds no distance engine"), 0
+		p := planeOf(op)
+		switch {
+		case p == adjPlane && s.engine != nil:
+			m := s.engine.Metrics()
+			resp, queries = servePairs(p, resp, body, s.maxBatch, bufs, s.engine, adjWire, m)
+			return resp, queries, m
+		case p == distPlane && s.dist != nil:
+			m := s.dist.Metrics()
+			resp, queries = servePairs(p, resp, body, s.maxBatch, bufs, s.dist, distWire, m)
+			return resp, queries, m
 		}
-		count, n := binary.Uvarint(body)
-		if n <= 0 {
-			return appendErr(resp, "bad pair count"), 0
-		}
-		if count > uint64(s.maxBatch) {
-			return appendErr(resp, "batch of %d pairs exceeds limit %d", count, s.maxBatch), 0
-		}
-		body = body[n:]
-		resp = append(resp, statusOK)
-		resp = binary.AppendUvarint(resp, count)
-		var t core.QueryTally
-		for i := 0; i < int(count); i++ {
-			u, nu := binary.Uvarint(body)
-			if nu <= 0 {
-				return appendErr(resp[:0], "pair %d: bad u", i), 0
-			}
-			body = body[nu:]
-			v, nv := binary.Uvarint(body)
-			if nv <= 0 {
-				return appendErr(resp[:0], "pair %d: bad v", i), 0
-			}
-			body = body[nv:]
-			d, err := s.dist.DistTallied(int(u), int(v), &t)
-			if err != nil {
-				s.dist.FlushTally(&t, 0)
-				return appendErr(resp[:0], "pair %d (%d,%d): %v", i, u, v, err), 0
-			}
-			resp = binary.AppendUvarint(resp, wireDist(d))
-		}
-		if len(body) != 0 {
-			s.dist.FlushTally(&t, 0)
-			return appendErr(resp[:0], "%d trailing bytes after %d pairs", len(body), count), 0
-		}
-		s.dist.FlushTally(&t, int(count))
-		return resp, int(count)
-	case opQuery:
-		if s.shouldShed() {
-			return appendShed(resp), 0
-		}
-		if s.engine == nil {
-			return appendErr(resp, "server holds no adjacency engine"), 0
-		}
-		count, n := binary.Uvarint(body)
-		if n <= 0 {
-			return appendErr(resp, "bad pair count"), 0
-		}
-		if count > uint64(s.maxBatch) {
-			return appendErr(resp, "batch of %d pairs exceeds limit %d", count, s.maxBatch), 0
-		}
-		body = body[n:]
-		resp = append(resp, statusOK)
-		resp = binary.AppendUvarint(resp, count)
-		bitsOff := len(resp)
-		for i := 0; i < int(count+7)/8; i++ {
-			resp = append(resp, 0)
-		}
-		// One tally per frame, flushed below: the engine's per-query metric
-		// cost on this path is two stack increments (see core.QueryTally).
-		var t core.QueryTally
-		for i := 0; i < int(count); i++ {
-			u, nu := binary.Uvarint(body)
-			if nu <= 0 {
-				return appendErr(resp[:0], "pair %d: bad u", i), 0
-			}
-			body = body[nu:]
-			v, nv := binary.Uvarint(body)
-			if nv <= 0 {
-				return appendErr(resp[:0], "pair %d: bad v", i), 0
-			}
-			body = body[nv:]
-			adj, err := s.engine.AdjacentTallied(int(u), int(v), &t)
-			if err != nil {
-				s.engine.FlushTally(&t, 0)
-				return appendErr(resp[:0], "pair %d (%d,%d): %v", i, u, v, err), 0
-			}
-			if adj {
-				resp[bitsOff+i/8] |= 1 << (7 - uint(i)%8)
-			}
-		}
-		if len(body) != 0 {
-			s.engine.FlushTally(&t, 0)
-			return appendErr(resp[:0], "%d trailing bytes after %d pairs", len(body), count), 0
-		}
-		s.engine.FlushTally(&t, int(count))
-		return resp, int(count)
+		return appendErr(resp, "server holds no %s engine", p.name), 0, nil
 	default:
-		return appendErr(resp, "unknown op %d", op), 0
+		return appendErr(resp, "unknown op %d", op), 0, nil
 	}
+}
+
+// appendShardInfo answers the shard-info handshake. An unsharded engine
+// reports the trivial 1-shard map, so a router can front plain servers with
+// the same handshake; a distance-only server adds an empty fat set, so a
+// router can admit it into a replica fleet.
+func (s *Server) appendShardInfo(resp []byte) []byte {
+	m := core.ShardMap{Count: 1, Index: 0, Fn: core.ShardRange}
+	if s.engine != nil {
+		if sm, ok := s.engine.Shard(); ok {
+			m = sm
+		}
+	}
+	n := s.servedN()
+	resp = append(resp, statusOK)
+	resp = binary.AppendUvarint(resp, uint64(n))
+	resp = binary.AppendUvarint(resp, uint64(m.Count))
+	resp = binary.AppendUvarint(resp, uint64(m.Index))
+	resp = append(resp, byte(m.Fn))
+	if s.engine != nil {
+		return s.engine.AppendFatBits(resp)
+	}
+	for i := 0; i < (n+7)/8; i++ {
+		resp = append(resp, 0)
+	}
+	return resp
+}
+
+// servePairs is the pair-frame arm for either plane: it decodes the pairs,
+// answers each with the plane's kernel into the frame's wire answers, tallies
+// the kernel's branches on the stack (one EngineMetrics.Flush per frame, so
+// the per-query metric cost is one stack increment), and encodes the answers
+// with the plane's codec.
+func servePairs[A any, K core.Kernel[A]](p *pairPlane, resp, body []byte, maxBatch int, bufs *connBuffers,
+	k K, wire func(A) uint8, m *core.EngineMetrics) ([]byte, int) {
+	count, body, err := readPairCount(body, maxBatch)
+	if err != nil {
+		return appendErr(resp, "%v", err), 0
+	}
+	pairs, rest, rerr := readPairs(bufs.pairs, body, count)
+	bufs.pairs = pairs
+	ans := slices.Grow(bufs.ans[:0], len(pairs))[:len(pairs)]
+	bufs.ans = ans
+	var t core.QueryTally
+	for i, pr := range pairs {
+		a, b, err := k.Probe(int(pr[0]), int(pr[1]))
+		t.Add(b)
+		if err != nil {
+			m.Flush(&t, 0)
+			return appendErr(resp, "pair %d (%d,%d): %v", i, pr[0], pr[1], err), 0
+		}
+		ans[i] = wire(a)
+	}
+	switch {
+	case rerr != nil:
+		m.Flush(&t, 0)
+		return appendErr(resp, "%v", rerr), 0
+	case len(rest) != 0:
+		m.Flush(&t, 0)
+		return appendErr(resp, "%d trailing bytes after %d pairs", len(rest), count), 0
+	}
+	m.Flush(&t, count)
+	resp = append(resp, statusOK)
+	resp = binary.AppendUvarint(resp, uint64(count))
+	return p.appendAnswers(resp, ans), count
 }
 
 // servedN is the vertex count of whichever plane the server holds (equal when

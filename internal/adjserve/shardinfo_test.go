@@ -164,33 +164,55 @@ func TestClientPending(t *testing.T) {
 
 // TestAdjacentManyZeroAlloc asserts the pooled steady state of the client
 // batch path: with a warm connection, recycled calls, and an out slice of
-// sufficient capacity, AdjacentMany performs zero heap allocations per batch
-// (the server shares the process, so its frame loop is covered too).
+// sufficient capacity, a batch performs zero heap allocations (the server
+// shares the process, so its frame loop is covered too) — for AdjacentMany
+// and for DistMany over pll and bdist servers.
 func TestAdjacentManyZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under the race detector")
 	}
 	eng := testEngine(t, 400, 3)
-	addr, _, _ := startServer(t, eng, 0)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	adjAddr, _, _ := startServer(t, eng, 0)
+	dists := testDistEngines(t, 400, 3)
+	pllAddr, _ := startDistServer(t, dists["pll"], 0)
+	bdistAddr, _ := startDistServer(t, dists["bdist"], 0)
 	pairs := randomPairs(eng.N(), 512, 7)
-	out := make([]bool, 0, len(pairs))
-	// Warm the connection, the pools, and both sides' I/O buffers.
-	for i := 0; i < 8; i++ {
-		if _, err := c.AdjacentMany(pairs, out[:0]); err != nil {
-			t.Fatal(err)
-		}
+	bools := make([]bool, 0, len(pairs))
+	ints := make([]int, 0, len(pairs))
+	adj := func(c *Client) error {
+		_, err := c.AdjacentMany(pairs, bools[:0])
+		return err
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := c.AdjacentMany(pairs, out[:0]); err != nil {
+	dist := func(c *Client) error {
+		_, err := c.DistMany(pairs, ints[:0])
+		return err
+	}
+	for _, tc := range []struct {
+		name, addr string
+		batch      func(c *Client) error
+	}{
+		{"adjacency", adjAddr, adj},
+		{"pll", pllAddr, dist},
+		{"bdist", bdistAddr, dist},
+	} {
+		c, err := Dial(tc.addr)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("AdjacentMany allocates %.1f times per batch, want 0", allocs)
+		defer c.Close()
+		// Warm the connection, the pools, and both sides' I/O buffers.
+		for i := 0; i < 8; i++ {
+			if err := tc.batch(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := tc.batch(c); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: batch allocates %.1f times per batch, want 0", tc.name, allocs)
+		}
 	}
 }

@@ -185,13 +185,13 @@ func TestShedZeroAlloc(t *testing.T) {
 	srv := NewServer(testEngine(t, 500, 13), 0)
 	srv.SetShedDepth(1)
 	srv.metrics.QueuedFrames.Add(5) // pinned past the bound: always shed
-	req := appendQueryReq(nil, randomPairs(500, 64, 1))
+	req := appendPairsReq(nil, opQuery, 0, randomPairs(500, 64, 1))
 	bufs := &connBuffers{resp: make([]byte, 0, 64)}
-	if resp, _ := srv.process(req, bufs); len(resp) != 1 || resp[0] != statusShed {
+	if resp, _, _ := srv.process(req, bufs); len(resp) != 1 || resp[0] != statusShed {
 		t.Fatalf("forced shed answered %v, want one shed status byte", resp)
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		resp, _ := srv.process(req, bufs)
+		resp, _, _ := srv.process(req, bufs)
 		bufs.resp = resp[:0]
 	}); avg != 0 {
 		t.Fatalf("shed path allocates %.1f/op, want 0", avg)
@@ -200,22 +200,36 @@ func TestShedZeroAlloc(t *testing.T) {
 
 // TestServeZeroAllocSteadyState asserts the admitted serve path stays
 // allocation-free once the connection scratch is warm — the property the CI
-// bench gate watches, checked here directly against process().
+// bench gate watches, checked here directly against process() for both
+// planes (adjacency, pll and bdist distance).
 func TestServeZeroAllocSteadyState(t *testing.T) {
-	srv := NewServer(testEngine(t, 500, 17), 0)
-	srv.SetShedDepth(8) // armed but idle: the depth check itself must not cost
-	req := appendQueryReq(nil, randomPairs(500, 64, 2))
-	bufs := &connBuffers{}
-	resp, queries := srv.process(req, bufs)
-	if queries != 64 {
-		t.Fatalf("warmup answered %d queries, want 64 (resp %v)", queries, resp)
-	}
-	bufs.resp = resp[:0]
-	if avg := testing.AllocsPerRun(200, func() {
-		resp, _ := srv.process(req, bufs)
+	dists := testDistEngines(t, 500, 17)
+	for _, tc := range []struct {
+		name string
+		op   byte
+		srv  *Server
+	}{
+		{"adjacency", opQuery, NewServer(testEngine(t, 500, 17), 0)},
+		{"pll", opDist, NewServer(nil, 0)},
+		{"bdist", opDist, NewServer(nil, 0)},
+	} {
+		if tc.op == opDist {
+			tc.srv.SetDistEngine(dists[tc.name])
+		}
+		tc.srv.SetShedDepth(8) // armed but idle: the depth check itself must not cost
+		req := appendPairsReq(nil, tc.op, 0, randomPairs(500, 64, 2))
+		bufs := &connBuffers{}
+		resp, queries, _ := tc.srv.process(req, bufs)
+		if queries != 64 {
+			t.Fatalf("%s: warmup answered %d queries, want 64 (resp %v)", tc.name, queries, resp)
+		}
 		bufs.resp = resp[:0]
-	}); avg != 0 {
-		t.Fatalf("armed serve path allocates %.1f/op, want 0", avg)
+		if avg := testing.AllocsPerRun(200, func() {
+			resp, _, _ := tc.srv.process(req, bufs)
+			bufs.resp = resp[:0]
+		}); avg != 0 {
+			t.Fatalf("%s: armed serve path allocates %.1f/op, want 0", tc.name, avg)
+		}
 	}
 }
 

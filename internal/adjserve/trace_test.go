@@ -28,87 +28,124 @@ func stageSet(t *obs.SpanTally) map[[2]uint8]bool {
 	return m
 }
 
-// TestTraceDirectE2E traces one batched call against a plain server and
-// checks the acceptance invariant: the client's own stages plus the server's
-// echoed stage report sum to the observed end-to-end latency within 5%
-// (the client constructs its net stage as exactly the unattributed remainder,
-// so the invariant is structural — the tolerance only absorbs the wall-clock
-// reads outside the traced window).
-func TestTraceDirectE2E(t *testing.T) {
-	eng := testEngine(t, 400, 11)
-	addr, srv, _ := startServer(t, eng, 0)
-	sink := &obs.TraceSink{Ring: obs.NewTraceRing(16)}
-	srv.SetTraceSink(sink)
-
-	c, err := Dial(addr)
+// tracedBatch runs pairs through a local engine, an untraced remote batch
+// call and a traced one, fails the test unless both remote answers equal the
+// local engine's (and each other), and returns the traced call's wall time.
+func tracedBatch[A comparable](t *testing.T, local, untraced func([][2]int, []A) ([]A, error),
+	traced func([][2]int, []A, *obs.SpanTally) ([]A, error), pairs [][2]int, tally *obs.SpanTally) time.Duration {
+	t.Helper()
+	want, err := local(pairs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	caps, err := c.Caps()
+	plain, err := untraced(pairs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if caps&capTrace == 0 {
-		t.Fatalf("server caps %#x missing capTrace", caps)
-	}
-
-	pairs := randomPairs(eng.N(), 2000, 11)
-	want, err := eng.AdjacentMany(pairs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tally obs.SpanTally
 	start := time.Now()
-	got, err := c.AdjacentManyTrace(pairs, nil, &tally)
+	got, err := traced(pairs, nil, tally)
 	wall := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(plain) != len(want) || len(got) != len(want) {
+		t.Fatalf("answer counts: local %d, untraced %d, traced %d", len(want), len(plain), len(got))
+	}
 	for i := range want {
+		if plain[i] != want[i] {
+			t.Fatalf("pair %d %v: untraced %v, local engine %v", i, pairs[i], plain[i], want[i])
+		}
 		if got[i] != want[i] {
-			t.Fatalf("pair %d: got %v, want %v", i, got[i], want[i])
+			t.Fatalf("pair %d %v: traced %v, local engine %v", i, pairs[i], got[i], want[i])
+		}
+		if got[i] != plain[i] {
+			t.Fatalf("pair %d %v: traced %v, untraced %v", i, pairs[i], got[i], plain[i])
 		}
 	}
+	return wall
+}
 
-	set := stageSet(&tally)
-	for _, wantStage := range [][2]uint8{
-		{obs.StageEncode, obs.HopSelf},
-		{obs.StageFlush, obs.HopSelf},
-		{obs.StageNet, obs.HopSelf},
-		{obs.StageQueue, obs.HopPeer},
-		{obs.StageRead, obs.HopPeer},
-		{obs.StageProbe, obs.HopPeer},
+// TestTraceDirectE2E traces one batched call against a plain server, for
+// each plane, and checks the acceptance invariant: the client's own stages
+// plus the server's echoed stage report sum to the observed end-to-end
+// latency within 5% (the client constructs its net stage as exactly the
+// unattributed remainder, so the invariant is structural — the tolerance
+// only absorbs the wall-clock reads outside the traced window).
+func TestTraceDirectE2E(t *testing.T) {
+	eng := testEngine(t, 400, 11)
+	adjAddr, adjSrv, _ := startServer(t, eng, 0)
+	dist := testDistEngines(t, 400, 11)["pll"]
+	distAddr, distSrv := startDistServer(t, dist, 0)
+	pairs := randomPairs(eng.N(), 2000, 11)
+	for _, tc := range []struct {
+		name  string
+		addr  string
+		srv   *Server
+		batch func(c *Client, tally *obs.SpanTally) time.Duration
+	}{
+		{"adjacency", adjAddr, adjSrv, func(c *Client, tally *obs.SpanTally) time.Duration {
+			return tracedBatch(t, eng.AdjacentMany, c.AdjacentMany, c.AdjacentManyTrace, pairs, tally)
+		}},
+		{"distance", distAddr, distSrv, func(c *Client, tally *obs.SpanTally) time.Duration {
+			return tracedBatch(t, dist.DistMany, c.DistMany, c.DistManyTrace, pairs, tally)
+		}},
 	} {
-		if !set[wantStage] {
-			t.Errorf("missing stage %s@%s in %v",
-				obs.StageName(wantStage[0]), obs.HopName(wantStage[1]), tally.Stages())
+		sink := &obs.TraceSink{Ring: obs.NewTraceRing(16)}
+		tc.srv.SetTraceSink(sink)
+		c, err := Dial(tc.addr)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	var sum int64
-	for _, st := range tally.Stages() {
-		sum += st.Ns
-	}
-	lo, hi := int64(float64(wall)*0.95)-int64(2*time.Millisecond), int64(wall)
-	if sum < lo || sum > hi {
-		t.Errorf("stage sum %v outside [%v, %v] of e2e %v", time.Duration(sum),
-			time.Duration(lo), time.Duration(hi), wall)
-	}
-
-	// The traced frame was deposited at the server under the propagated id.
-	snap := sink.Ring.Snapshot(nil)
-	if len(snap) == 0 {
-		t.Fatal("server sink captured no traces")
-	}
-	found := false
-	for _, tr := range snap {
-		if tr.ID == tally.ID {
-			found = true
+		defer c.Close()
+		caps, err := c.Caps()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !found {
-		t.Errorf("trace id %s not in server ring", obs.TraceID(tally.ID))
+		if caps&capTrace == 0 {
+			t.Fatalf("%s: server caps %#x missing capTrace", tc.name, caps)
+		}
+		var tally obs.SpanTally
+		wall := tc.batch(c, &tally)
+
+		set := stageSet(&tally)
+		for _, wantStage := range [][2]uint8{
+			{obs.StageEncode, obs.HopSelf},
+			{obs.StageFlush, obs.HopSelf},
+			{obs.StageNet, obs.HopSelf},
+			{obs.StageQueue, obs.HopPeer},
+			{obs.StageRead, obs.HopPeer},
+			{obs.StageProbe, obs.HopPeer},
+		} {
+			if !set[wantStage] {
+				t.Errorf("%s: missing stage %s@%s in %v", tc.name,
+					obs.StageName(wantStage[0]), obs.HopName(wantStage[1]), tally.Stages())
+			}
+		}
+
+		var sum int64
+		for _, st := range tally.Stages() {
+			sum += st.Ns
+		}
+		lo, hi := int64(float64(wall)*0.95)-int64(2*time.Millisecond), int64(wall)
+		if sum < lo || sum > hi {
+			t.Errorf("%s: stage sum %v outside [%v, %v] of e2e %v", tc.name, time.Duration(sum),
+				time.Duration(lo), time.Duration(hi), wall)
+		}
+
+		// The traced frame was deposited at the server under the propagated id.
+		snap := sink.Ring.Snapshot(nil)
+		if len(snap) == 0 {
+			t.Fatalf("%s: server sink captured no traces", tc.name)
+		}
+		found := false
+		for _, tr := range snap {
+			if tr.ID == tally.ID {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("%s: trace id %s not in server ring", tc.name, obs.TraceID(tally.ID))
+		}
 	}
 }
 
@@ -161,103 +198,110 @@ func TestRecordCallStagesOverlap(t *testing.T) {
 }
 
 // TestTraceRoutedE2E is the acceptance check through the full scatter-gather
-// path: client → router → 3 shard servers. The reconstructed timeline must
-// contain the router's hop stages and per-shard sub-traces, and the top-level
-// stages (client self + router hop) must sum to the observed e2e latency
-// within 5% — shard-indexed entries nest inside the router's upstream window
-// and are excluded from the invariant.
+// path. It traces a batch through a router: the tally must
+// contain the router's hop stages and per-upstream sub-traces, and the
+// top-level stages (client self + router hop) must sum to the observed e2e
+// latency within 5% — upstream-indexed entries nest inside the router's
+// upstream window and are excluded from the invariant. Adjacency runs over
+// three shards, distance over a 2-replica fleet.
 func TestTraceRoutedE2E(t *testing.T) {
 	full, engines := shardEngines(t, 400, 3, core.ShardRange, 7)
-	addrs, srvs := startShardFleet(t, engines)
-	for _, s := range srvs {
-		s.SetTraceSink(&obs.TraceSink{Ring: obs.NewTraceRing(16)})
+	shardAddrs, shardSrvs := startShardFleet(t, engines)
+	dist := testDistEngines(t, 400, 7)["pll"]
+	replicaAddrs := make([]string, 2)
+	replicaSrvs := make([]*Server, 2)
+	for i := range replicaAddrs {
+		replicaAddrs[i], replicaSrvs[i] = startDistServer(t, dist, 0)
 	}
-	addr, r := startRouter(t, addrs, 0)
-	sink := &obs.TraceSink{Ring: obs.NewTraceRing(16)}
-	r.SetTraceSink(sink)
-
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
 	pairs := randomPairs(full.N(), 3000, 7)
-	var tally obs.SpanTally
-	start := time.Now()
-	got, err := c.AdjacentManyTrace(pairs, nil, &tally)
-	wall := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range pairs {
-		want, err := full.Adjacent(p[0], p[1])
+	for _, tc := range []struct {
+		name  string
+		addrs []string
+		srvs  []*Server
+		batch func(c *Client, tally *obs.SpanTally) time.Duration
+	}{
+		{"adjacency/3-shards", shardAddrs, shardSrvs, func(c *Client, tally *obs.SpanTally) time.Duration {
+			return tracedBatch(t, full.AdjacentMany, c.AdjacentMany, c.AdjacentManyTrace, pairs, tally)
+		}},
+		{"distance/2-replicas", replicaAddrs, replicaSrvs, func(c *Client, tally *obs.SpanTally) time.Duration {
+			return tracedBatch(t, dist.DistMany, c.DistMany, c.DistManyTrace, pairs, tally)
+		}},
+	} {
+		for _, s := range tc.srvs {
+			s.SetTraceSink(&obs.TraceSink{Ring: obs.NewTraceRing(16)})
+		}
+		addr, r := startRouter(t, tc.addrs, 0)
+		sink := &obs.TraceSink{Ring: obs.NewTraceRing(16)}
+		r.SetTraceSink(sink)
+
+		c, err := Dial(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got[i] != want {
-			t.Fatalf("pair %d (%d,%d) = %v, engine says %v", i, p[0], p[1], got[i], want)
-		}
-	}
+		defer c.Close()
+		var tally obs.SpanTally
+		wall := tc.batch(c, &tally)
 
-	set := stageSet(&tally)
-	for _, wantStage := range [][2]uint8{
-		{obs.StageScatter, obs.HopPeer},
-		{obs.StageUpstream, obs.HopPeer},
-		{obs.StageGather, obs.HopPeer},
-	} {
-		if !set[wantStage] {
-			t.Errorf("missing router stage %s@%s in %v",
-				obs.StageName(wantStage[0]), obs.HopName(wantStage[1]), tally.Stages())
+		set := stageSet(&tally)
+		for _, wantStage := range [][2]uint8{
+			{obs.StageScatter, obs.HopPeer},
+			{obs.StageUpstream, obs.HopPeer},
+			{obs.StageGather, obs.HopPeer},
+		} {
+			if !set[wantStage] {
+				t.Errorf("%s: missing router stage %s@%s in %v", tc.name,
+					obs.StageName(wantStage[0]), obs.HopName(wantStage[1]), tally.Stages())
+			}
 		}
-	}
-	hops := sumHops(&tally)
-	for shard := uint8(0); shard < 3; shard++ {
-		if hops[shard] <= 0 {
-			t.Errorf("no stages attributed to shard %d: %v", shard, tally.Stages())
+		hops := sumHops(&tally)
+		for up := uint8(0); up < uint8(len(tc.addrs)); up++ {
+			if hops[up] <= 0 {
+				t.Errorf("%s: no stages attributed to upstream %d: %v", tc.name, up, tally.Stages())
+			}
+			if !set[[2]uint8{obs.StageProbe, up}] {
+				t.Errorf("%s: upstream %d missing probe stage", tc.name, up)
+			}
+			if !set[[2]uint8{obs.StageNet, up}] {
+				t.Errorf("%s: upstream %d missing net stage", tc.name, up)
+			}
 		}
-		if !set[[2]uint8{obs.StageProbe, shard}] {
-			t.Errorf("shard %d missing probe stage", shard)
-		}
-		if !set[[2]uint8{obs.StageNet, shard}] {
-			t.Errorf("shard %d missing net stage", shard)
-		}
-	}
 
-	// Top-level invariant: self + router-hop stages cover the wall time.
-	top := hops[obs.HopSelf] + hops[obs.HopPeer]
-	lo, hi := int64(float64(wall)*0.95)-int64(2*time.Millisecond), int64(wall)
-	if top < lo || top > hi {
-		t.Errorf("top-level stage sum %v outside [%v, %v] of e2e %v",
-			time.Duration(top), time.Duration(lo), time.Duration(hi), wall)
-	}
+		// Top-level invariant: self + router-hop stages cover the wall time.
+		top := hops[obs.HopSelf] + hops[obs.HopPeer]
+		lo, hi := int64(float64(wall)*0.95)-int64(2*time.Millisecond), int64(wall)
+		if top < lo || top > hi {
+			t.Errorf("%s: top-level stage sum %v outside [%v, %v] of e2e %v: %v", tc.name,
+				time.Duration(top), time.Duration(lo), time.Duration(hi), wall, tally.Stages())
+		}
 
-	// Shard sub-traces nest inside the router's upstream window. The upstream
-	// stage is a wall-clock window over concurrent per-shard calls, so each
-	// single shard's total must fit within it (plus scheduling slop).
-	var up int64
-	for _, st := range tally.Stages() {
-		if st.Stage == obs.StageUpstream && st.Hop == obs.HopPeer {
-			up = st.Ns
+		// Upstream sub-traces nest inside the router's upstream window. The
+		// upstream stage is a wall-clock window over concurrent per-upstream
+		// calls, so each single upstream's total must fit within it (plus
+		// scheduling slop).
+		var window int64
+		for _, st := range tally.Stages() {
+			if st.Stage == obs.StageUpstream && st.Hop == obs.HopPeer {
+				window = st.Ns
+			}
 		}
-	}
-	for shard := uint8(0); shard < 3; shard++ {
-		if hops[shard] > up+int64(2*time.Millisecond) {
-			t.Errorf("shard %d stages (%v) exceed router upstream window (%v)",
-				shard, time.Duration(hops[shard]), time.Duration(up))
+		for up := uint8(0); up < uint8(len(tc.addrs)); up++ {
+			if hops[up] > window+int64(2*time.Millisecond) {
+				t.Errorf("%s: upstream %d stages (%v) exceed router upstream window (%v)",
+					tc.name, up, time.Duration(hops[up]), time.Duration(window))
+			}
 		}
-	}
 
-	// The router deposited the downstream-traced frame under the same id.
-	snap := sink.Ring.Snapshot(nil)
-	found := false
-	for _, tr := range snap {
-		if tr.ID == tally.ID {
-			found = true
+		// The router deposited the downstream-traced frame under the same id.
+		snap := sink.Ring.Snapshot(nil)
+		found := false
+		for _, tr := range snap {
+			if tr.ID == tally.ID {
+				found = true
+			}
 		}
-	}
-	if !found {
-		t.Errorf("trace id %s not in router ring (got %d traces)", obs.TraceID(tally.ID), len(snap))
+		if !found {
+			t.Errorf("%s: trace id %s not in router ring (got %d traces)", tc.name, obs.TraceID(tally.ID), len(snap))
+		}
 	}
 }
 
@@ -430,7 +474,7 @@ func TestTraceSelfSample(t *testing.T) {
 func TestServeFrameTraceDisabledZeroAlloc(t *testing.T) {
 	srv := NewServer(testEngine(t, 2000, 23), 0)
 	srv.SetTraceSink(&obs.TraceSink{Ring: obs.NewTraceRing(16), Slow: obs.NewTraceRing(16)})
-	req := appendQueryReq(nil, randomPairs(2000, 64, 23))
+	req := appendPairsReq(nil, opQuery, 0, randomPairs(2000, 64, 23))
 	bufs := &connBuffers{resp: make([]byte, 0, 4096)}
 	allocs := testing.AllocsPerRun(200, func() {
 		start := time.Now()

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"repro/internal/bitstr"
 	"repro/internal/graph"
@@ -36,21 +34,18 @@ import (
 // Like QueryEngine, a DistEngine is immutable after construction and safe
 // for concurrent use; metrics attach before sharing.
 type DistEngine struct {
-	kind DistKind
-	n    int
-	w    int // identifier width (pll: min 1; bdist: exact ceil(log2 n))
-	wCnt int // pll entry-count width
-	dw   int // distance field width
-	f    int // bdist bound
-	nFat int // bdist fat-table width
-	// meta reuses QueryEngine's packed header record: off is the bit offset
-	// of the label body (pll: the first entry; bdist: the fat table), and
-	// word packs id<<32 | cnt<<1 | fat with cnt the entry count (pll: hub
+	// plane's meta reuses QueryEngine's packed header record: off is the bit
+	// offset of the label body (pll: the first entry; bdist: the fat table),
+	// and word packs id<<32 | cnt<<1 | fat with cnt the entry count (pll: hub
 	// entries; bdist: thin-list entries).
-	meta     []vertexMeta
-	slab     []byte
+	plane
+	kind     DistKind
+	w        int // identifier width (pll: min 1; bdist: exact ceil(log2 n))
+	wCnt     int // pll entry-count width
+	dw       int // distance field width
+	f        int // bdist bound
+	nFat     int // bdist fat-table width
 	slabBits int64
-	metrics  *EngineMetrics
 }
 
 // NewDistEngine adopts a pipeline-encoded DistArena zero-copy.
@@ -71,8 +66,8 @@ func NewDistEngineFromArena(slab []byte, bitLens []int, order []int32, p DistPar
 	if p.DW < 1 || p.DW > 32 {
 		return nil, fmt.Errorf("%w: distance width %d (want 1..32)", ErrBadLabel, p.DW)
 	}
-	e := &DistEngine{kind: p.Kind, n: n, dw: p.DW, slab: slab, slabBits: int64(len(slab)) * 8,
-		meta: make([]vertexMeta, n)}
+	e := &DistEngine{plane: plane{n: n, meta: make([]vertexMeta, n), slab: slab},
+		kind: p.Kind, dw: p.DW, slabBits: int64(len(slab)) * 8}
 	switch p.Kind {
 	case DistPLL:
 		e.w, e.wCnt, _ = pllWidths(n, 0)
@@ -94,44 +89,12 @@ func NewDistEngineFromArena(slab []byte, bitLens []int, order []int32, p DistPar
 	if e.w > 32 {
 		return nil, fmt.Errorf("%w: %d labels need id width %d, engine packs ids in 32 bits", ErrBadLabel, n, e.w)
 	}
-	if order != nil && len(order) != n {
-		return nil, fmt.Errorf("%w: layout permutation of %d entries over %d labels", ErrBadLabel, len(order), n)
+	validate := e.validateBounded
+	if e.kind == DistPLL {
+		validate = e.validatePLL
 	}
-	var seen []uint64
-	if order != nil {
-		seen = make([]uint64, (n+63)>>6)
-	}
-	var off int64
-	for r := 0; r < n; r++ {
-		v := r
-		if order != nil {
-			v = int(order[r])
-			if v < 0 || v >= n {
-				return nil, fmt.Errorf("%w: layout permutation entry %d = %d of %d labels", ErrBadLabel, r, order[r], n)
-			}
-			if seen[v>>6]&(1<<uint(v&63)) != 0 {
-				return nil, fmt.Errorf("%w: layout permutation repeats label %d at rank %d", ErrBadLabel, v, r)
-			}
-			seen[v>>6] |= 1 << uint(v&63)
-		}
-		lbits := bitLens[v]
-		if lbits < 0 || lbits > maxLabelBits {
-			return nil, fmt.Errorf("%w: label %d has %d bits", ErrBadLabel, v, lbits)
-		}
-		end := off + int64(bitstr.SlabWords(lbits))*bitstr.SlabWordBits
-		if int(end>>3) > len(slab) {
-			return nil, fmt.Errorf("%w: label %d ends at byte %d of a %d-byte slab", ErrBadLabel, v, end>>3, len(slab))
-		}
-		var err error
-		if e.kind == DistPLL {
-			err = e.validatePLL(v, off, int64(lbits))
-		} else {
-			err = e.validateBounded(v, off, int64(lbits))
-		}
-		if err != nil {
-			return nil, err
-		}
-		off = end
+	if err := walkArena(slab, bitLens, order, validate); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
@@ -294,21 +257,11 @@ func (e *DistEngine) pllEntry(off int64) (gap, dist uint64, width int64) {
 	return v - 1, dist, wd + int64(e.dw)
 }
 
-// N returns the number of vertices the engine serves.
-func (e *DistEngine) N() int { return e.n }
-
 // Kind returns the engine's distance scheme kind.
 func (e *DistEngine) Kind() DistKind { return e.kind }
 
 // F returns the distance bound of a DistBounded engine (0 for DistPLL).
 func (e *DistEngine) F() int { return e.f }
-
-// AttachMetrics wires instrumentation into the engine's query paths; same
-// contract as QueryEngine.AttachMetrics (attach before sharing, nil
-// detaches). Distance queries tally the branch that resolved them: self for
-// equal identifiers, fat when a bdist query had a fat endpoint, thin for
-// thin-thin bdist pairs and every PLL merge.
-func (e *DistEngine) AttachMetrics(m *EngineMetrics) { e.metrics = m }
 
 // Dist answers a distance query between vertices u and v: the exact hop
 // distance, or -1 when unreachable (DistPLL) or beyond the bound f
@@ -316,37 +269,26 @@ func (e *DistEngine) AttachMetrics(m *EngineMetrics) { e.metrics = m }
 // allocation-free and answers bit-for-bit identically to
 // distance.PLLDecoder.Dist / distance.Decoder.Dist over the same labels.
 func (e *DistEngine) Dist(u, v int) (int, error) {
-	var t QueryTally
-	d, err := e.DistTallied(u, v, &t)
-	if m := e.metrics; m != nil {
-		m.flush(&t)
-	}
-	return d, err
+	return probeOne(e, e.metrics, u, v)
 }
 
-// DistTallied is the shared probe path: one query, branch tallies into t,
-// flushed by the caller via FlushTally once per span (the adjserve opDist
-// frame loop streams through here).
-func (e *DistEngine) DistTallied(u, v int, t *QueryTally) (int, error) {
+// Probe is the distance plane's kernel: one query, plus the branch that
+// resolved it (see Kernel and AttachMetrics).
+func (e *DistEngine) Probe(u, v int) (int, Branch, error) {
 	if uint(u) >= uint(e.n) || uint(v) >= uint(e.n) {
-		return 0, fmt.Errorf("%w: (%d,%d) of %d", ErrVertexRange, u, v, e.n)
+		return 0, BranchRange, fmt.Errorf("%w: (%d,%d) of %d", ErrVertexRange, u, v, e.n)
 	}
-	t.queries++
 	mu, mv := e.meta[u], e.meta[v]
-	if mu.id() == mv.id() {
-		t.self++
-		return 0, nil
+	switch {
+	case mu.id() == mv.id():
+		return 0, BranchSelf, nil
+	case e.kind == DistPLL:
+		return e.distPLL(mu, mv), BranchThin, nil
+	case mu.fat() || mv.fat():
+		return e.distBounded(mu, mv), BranchFat, nil
+	default:
+		return e.distBounded(mu, mv), BranchThin, nil
 	}
-	if e.kind == DistPLL {
-		t.thin++
-		return e.distPLL(mu, mv), nil
-	}
-	if mu.fat() || mv.fat() {
-		t.fat++
-	} else {
-		t.thin++
-	}
-	return e.distBounded(mu, mv), nil
 }
 
 // distPLL merges the two sorted hub lists and returns the minimum summed
@@ -471,111 +413,12 @@ func (e *DistEngine) thinDist(m vertexMeta, target uint64) (int, bool) {
 // out and returning the extended slice; capacity for len(pairs) results
 // makes the batch allocation-free. It stops at the first failing query.
 func (e *DistEngine) DistMany(pairs [][2]int, out []int) ([]int, error) {
-	var t QueryTally
-	for _, p := range pairs {
-		d, err := e.DistTallied(p[0], p[1], &t)
-		if err != nil {
-			e.flushDistBatch(&t, len(pairs))
-			return out, fmt.Errorf("core: dist query (%d,%d): %w", p[0], p[1], err)
-		}
-		out = append(out, d)
-	}
-	e.flushDistBatch(&t, len(pairs))
-	return out, nil
+	return probeMany(e, e.metrics, pairs, out)
 }
 
 // DistManyParallel shards a batch across workers goroutines (<= 0 selects
 // GOMAXPROCS), answering each shard with the allocation-free single-query
 // path; results are in pair order.
 func (e *DistEngine) DistManyParallel(pairs [][2]int, out []int, workers int) ([]int, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	if workers <= 1 {
-		return e.DistMany(pairs, out)
-	}
-	start := len(out)
-	out = growInts(out, len(pairs))
-	res := out[start:]
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	chunk := (len(pairs) + workers - 1) / workers
-	for wi := 0; wi < workers; wi++ {
-		lo := wi * chunk
-		if lo >= len(pairs) {
-			break
-		}
-		hi := min(lo+chunk, len(pairs))
-		wg.Add(1)
-		go func(wi, lo, hi int) {
-			defer wg.Done()
-			var t QueryTally
-			for i := lo; i < hi; i++ {
-				d, err := e.DistTallied(pairs[i][0], pairs[i][1], &t)
-				if err != nil {
-					errs[wi] = fmt.Errorf("core: dist query (%d,%d): %w", pairs[i][0], pairs[i][1], err)
-					break
-				}
-				res[i] = d
-			}
-			if m := e.metrics; m != nil {
-				m.flush(&t)
-			}
-		}(wi, lo, hi)
-	}
-	wg.Wait()
-	if m := e.metrics; m != nil {
-		m.Batches.Inc()
-		m.BatchPairs.Observe(int64(len(pairs)))
-	}
-	for _, err := range errs {
-		if err != nil {
-			return out[:start], err
-		}
-	}
-	return out, nil
-}
-
-// growInts extends out by extra entries, reusing capacity when it can.
-func growInts(out []int, extra int) []int {
-	if need := len(out) + extra; cap(out) >= need {
-		return out[:need]
-	}
-	grown := make([]int, len(out)+extra)
-	copy(grown, out)
-	return grown
-}
-
-// flushDistBatch charges one batch call's tally.
-func (e *DistEngine) flushDistBatch(t *QueryTally, pairs int) {
-	if m := e.metrics; m != nil {
-		m.flush(t)
-		m.Batches.Inc()
-		m.BatchPairs.Observe(int64(pairs))
-	}
-}
-
-// FlushTally charges a caller-managed tally span, exactly as
-// QueryEngine.FlushTally does for adjacency frames.
-func (e *DistEngine) FlushTally(t *QueryTally, pairs int) {
-	if m := e.metrics; m != nil {
-		m.flush(t)
-		if pairs > 0 {
-			m.Batches.Inc()
-			m.BatchPairs.Observe(int64(pairs))
-		}
-	}
-	*t = QueryTally{}
-}
-
-// ObserveProbe charges one served frame's engine-probe wall time to the
-// attached metrics, exactly as QueryEngine.ObserveProbe does for adjacency
-// frames.
-func (e *DistEngine) ObserveProbe(ns int64, traceID uint64) {
-	if m := e.metrics; m != nil {
-		m.ObserveProbe(ns, traceID)
-	}
+	return probeManyParallel(e, e.metrics, pairs, out, workers)
 }

@@ -28,8 +28,9 @@ type EngineMetrics struct {
 	ProbeNs obs.Histogram
 }
 
-// Register exposes the metrics on reg under the engine_* family names. Call
-// once per registry.
+// Register exposes the metrics on reg under the engine_* family names, for
+// either plane (a distance server's engine reports here too). Call once per
+// registry.
 func (m *EngineMetrics) Register(reg *obs.Registry) {
 	reg.Counter("engine_queries_total", "Adjacency queries answered by the query engine.", &m.Queries)
 	reg.Counter("engine_batches_total", "Batch calls (AdjacentMany and the parallel variant).", &m.Batches)
@@ -40,48 +41,74 @@ func (m *EngineMetrics) Register(reg *obs.Registry) {
 	reg.Histogram("engine_probe_ns", "Engine-probe wall time per served frame.", &m.ProbeNs)
 }
 
-// RegisterDist exposes the metrics on reg under the dist_engine_* family
-// names — the distance plane's instrumentation (DistEngine shares the
-// EngineMetrics/QueryTally machinery; only the exposition names and branch
-// semantics differ: thin counts PLL merges and thin-thin bounded pairs, fat
-// counts bounded queries resolved through the fat-hub relay tables).
-func (m *EngineMetrics) RegisterDist(reg *obs.Registry) {
-	reg.Counter("dist_engine_queries_total", "Distance queries answered by the distance engine.", &m.Queries)
-	reg.Counter("dist_engine_batches_total", "Batch calls (DistMany and variants).", &m.Batches)
-	reg.Counter("dist_engine_branch_thin_total", "PLL hub-list merges and thin-thin bounded-distance queries.", &m.ThinBranch)
-	reg.Counter("dist_engine_branch_fat_total", "Bounded-distance queries with a fat endpoint (fat-relay only).", &m.FatBranch)
-	reg.Counter("dist_engine_branch_self_total", "Queries short-circuited by equal identifiers.", &m.SelfBranch)
-	reg.Histogram("dist_engine_batch_pairs", "Pairs per distance batch call.", &m.BatchPairs)
-	reg.Histogram("dist_engine_probe_ns", "Engine-probe wall time per served distance frame.", &m.ProbeNs)
+// Branch names the decode branch that resolved one query. A plane's kernel
+// returns it beside the answer (and beside an error), and the batch driver
+// running the kernel owns the tally: the kernel never sees a pointer, so
+// drivers stay allocation-free. Every in-range query counts as a query,
+// including one refused because its body is not resident on this shard;
+// an out-of-range query counts nowhere.
+type Branch uint8
+
+const (
+	BranchSelf    Branch = iota // equal identifiers short-circuit
+	BranchThin                  // adjacency thin search; PLL merge; thin-thin bounded distance
+	BranchFat                   // adjacency fat bitmap; bounded distance with a fat endpoint
+	BranchRefused               // in range, but no body on this shard resolves it: a query in no branch
+	BranchRange                 // an endpoint is out of range: not a query
+)
+
+// Kernel is one plane's per-pair probe: the answer for (u, v) and the branch
+// that resolved it. QueryEngine and DistEngine are the two kernels; every
+// batch path (the engines' Many methods, adjserve's frame loop) runs one
+// through a driver that tallies branches and flushes them. Drivers take the
+// kernel as a type parameter rather than a method value: a method value
+// passed across an inlined generic call escapes to the heap.
+type Kernel[A any] interface {
+	Probe(u, v int) (A, Branch, error)
 }
 
-// QueryTally is the stack-local accumulator the probe paths increment; it is
-// flushed to an EngineMetrics in O(1) atomic adds per span. The zero value is
-// an empty tally. Callers that stream single queries at batch rates (the
-// adjserve frame loop) keep one tally per frame, feed it to AdjacentTallied,
-// and flush with QueryEngine.FlushTally — per-query cost is two stack
-// increments, never an atomic.
+// QueryTally is the stack-local accumulator a batch driver keeps: one
+// increment per probed pair, flushed to an EngineMetrics in O(1) atomic
+// adds per span by EngineMetrics.Flush. The zero value is an empty tally.
 type QueryTally struct {
-	queries, thin, fat, self int64
+	branch [BranchRange + 1]int64 // probed pairs by Branch
+}
+
+// Add counts one probed pair that the kernel attributed to branch b.
+func (t *QueryTally) Add(b Branch) { t.branch[b]++ }
+
+// Flush charges a tally span to m and zeroes the tally. pairs > 0
+// additionally records one batch of that many pairs, so an externally
+// streamed frame is indistinguishable from an engine batch call; pass 0 for
+// a span that ended early (the queries already probed still count). A nil
+// m only zeroes the tally.
+func (m *EngineMetrics) Flush(t *QueryTally, pairs int) {
+	if m != nil {
+		self, thin, fat := t.branch[BranchSelf], t.branch[BranchThin], t.branch[BranchFat]
+		m.Queries.Add(self + thin + fat + t.branch[BranchRefused])
+		m.ThinBranch.Add(thin)
+		m.FatBranch.Add(fat)
+		m.SelfBranch.Add(self)
+		if pairs > 0 {
+			m.Batches.Inc()
+			m.BatchPairs.Observe(int64(pairs))
+		}
+	}
+	*t = QueryTally{}
 }
 
 // ObserveProbe charges one served frame's engine-probe wall time, stamping
 // the latency bucket's exemplar with the trace id when the frame was traced
-// (id != 0) so /debug/traces can join buckets back to concrete traces.
+// (id != 0) so /debug/traces can join buckets back to concrete traces. A nil
+// m is a no-op.
 func (m *EngineMetrics) ObserveProbe(ns int64, traceID uint64) {
-	if traceID != 0 {
+	switch {
+	case m == nil:
+	case traceID != 0:
 		m.ProbeNs.ObserveExemplar(ns, traceID)
-		return
+	default:
+		m.ProbeNs.Observe(ns)
 	}
-	m.ProbeNs.Observe(ns)
-}
-
-// flush merges a tally into the atomics.
-func (m *EngineMetrics) flush(t *QueryTally) {
-	m.Queries.Add(t.queries)
-	m.ThinBranch.Add(t.thin)
-	m.FatBranch.Add(t.fat)
-	m.SelfBranch.Add(t.self)
 }
 
 // pipelineMetrics instruments the slab encode pipeline (both the fat/thin

@@ -3,8 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/bitstr"
 )
@@ -29,22 +27,8 @@ import (
 // A QueryEngine is immutable after construction and safe for concurrent use
 // by any number of goroutines.
 type QueryEngine struct {
-	n int // number of vertices
+	plane
 	w int // identifier width: ceil(log2 n)
-	// meta holds the flat pre-parsed headers, one 16-byte record per vertex
-	// (four to a cache line), indexed by vertex id regardless of the slab's
-	// physical layout.
-	meta []vertexMeta
-	// slab holds the label bodies: each vertex's body (neighbor ids or fat
-	// vector) starts at bit offset meta[v].off. Probes via
-	// bitstr.SlabReadBits never cross the end of the backing slice (see the
-	// in-bounds argument there).
-	slab []byte
-	// metrics, when attached, receives per-call tallies (nil costs the hot
-	// path a single predictable branch). It is the one mutable piece of an
-	// otherwise immutable engine: attach before sharing the engine across
-	// goroutines.
-	metrics *EngineMetrics
 	// resident, when non-nil, marks the engine as serving one shard of a
 	// partitioned store (SetShard): bit v says vertex v's full label body is
 	// present in the slab (owned, or fat — fat labels are replicated to every
@@ -54,12 +38,6 @@ type QueryEngine struct {
 	resident []uint64
 	shard    ShardMap
 }
-
-// AttachMetrics wires instrumentation into the engine's query paths. Must be
-// called before the engine is shared (typically right after construction);
-// passing nil detaches. The per-query cost is a stack-local tally flushed
-// with O(1) atomic adds per call, preserving the 0 allocs/op guarantee.
-func (e *QueryEngine) AttachMetrics(m *EngineMetrics) { e.metrics = m }
 
 // vertexMeta is one label's pre-parsed header, packed into a single 16-byte
 // record: the body's slab bit offset, and one word holding the identifier,
@@ -148,53 +126,26 @@ func NewQueryEngineFromPermutedArena(slab []byte, bitLens []int, order []int32) 
 	if w > 32 {
 		return nil, fmt.Errorf("%w: %d labels need id width %d, engine packs ids in 32 bits", ErrBadLabel, n, w)
 	}
-	if order != nil && len(order) != n {
-		return nil, fmt.Errorf("%w: layout permutation of %d entries over %d labels", ErrBadLabel, len(order), n)
-	}
 	header := 1 + w
-	e := &QueryEngine{n: n, w: w, meta: make([]vertexMeta, n), slab: slab}
-	var seen []uint64
-	if order != nil {
-		seen = make([]uint64, (n+63)>>6)
-	}
-	var off int64
-	for r := 0; r < n; r++ {
-		v := r
-		if order != nil {
-			v = int(order[r])
-			if v < 0 || v >= n {
-				return nil, fmt.Errorf("%w: layout permutation entry %d = %d of %d labels", ErrBadLabel, r, order[r], n)
-			}
-			if seen[v>>6]&(1<<uint(v&63)) != 0 {
-				return nil, fmt.Errorf("%w: layout permutation repeats label %d at rank %d", ErrBadLabel, v, r)
-			}
-			seen[v>>6] |= 1 << uint(v&63)
-		}
-		bits := bitLens[v]
-		if bits < header {
-			return nil, fmt.Errorf("%w: label %d has %d bits, header needs %d", ErrBadLabel, v, bits, header)
-		}
-		if bits > maxLabelBits {
-			// Also keeps end below overflow for any label count that fits in
-			// memory: untrusted bit lengths (fuzzed or corrupt headers) are
-			// bounded before any offset arithmetic.
-			return nil, fmt.Errorf("%w: label %d has %d bits", ErrBadLabel, v, bits)
-		}
-		end := off + int64(bitstr.SlabWords(bits))*bitstr.SlabWordBits
-		if int(end>>3) > len(slab) {
-			return nil, fmt.Errorf("%w: label %d ends at byte %d of a %d-byte slab", ErrBadLabel, v, end>>3, len(slab))
+	e := &QueryEngine{plane: plane{n: n, meta: make([]vertexMeta, n), slab: slab}, w: w}
+	err := walkArena(slab, bitLens, order, func(v int, off, bits int64) error {
+		if bits < int64(header) {
+			return fmt.Errorf("%w: label %d has %d bits, header needs %d", ErrBadLabel, v, bits, header)
 		}
 		fat := bitstr.SlabReadBits(slab, off, 1) == 1
 		var id uint64
 		if w > 0 {
 			id = bitstr.SlabReadBits(slab, off+1, w)
 		}
-		word, err := packMeta(fat, id, bits-header, w, v)
+		word, err := packMeta(fat, id, int(bits)-header, w, v)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		e.meta[v] = vertexMeta{off: off + int64(header), word: word}
-		off = end
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return e, nil
 }
@@ -215,11 +166,7 @@ func NewQueryEngineFromLabels(labels []bitstr.String) (*QueryEngine, error) {
 		return nil, fmt.Errorf("%w: %d labels need id width %d, engine packs ids in 32 bits", ErrBadLabel, n, w)
 	}
 	header := 1 + w
-	e := &QueryEngine{
-		n:    n,
-		w:    w,
-		meta: make([]vertexMeta, n),
-	}
+	e := &QueryEngine{plane: plane{n: n, meta: make([]vertexMeta, n)}, w: w}
 	// Pass 1: validate headers and size the slab (bodies word-aligned).
 	totalWords := 0
 	for v, s := range labels {
@@ -253,57 +200,47 @@ func NewQueryEngineFromLabels(labels []bitstr.String) (*QueryEngine, error) {
 	return e, nil
 }
 
-// N returns the number of vertices the engine serves.
-func (e *QueryEngine) N() int { return e.n }
-
 // Adjacent answers an adjacency query between vertices u and v. It is
 // allocation-free and answers bit-for-bit identically to
 // FatThinDecoder.Adjacent over the same labels.
 func (e *QueryEngine) Adjacent(u, v int) (bool, error) {
-	var t QueryTally
-	ok, err := e.AdjacentTallied(u, v, &t)
-	if m := e.metrics; m != nil {
-		m.flush(&t)
-	}
-	return ok, err
+	return probeOne(e, e.metrics, u, v)
 }
 
-// AdjacentTallied is the shared probe path: it answers one query and tallies
-// which decode branch resolved it into t — plain stack increments that the
-// batch paths (and external frame loops like adjserve) flush to atomics once
-// per span via FlushTally. It is the call to use when streaming single
-// queries at batch rates: same probes as Adjacent, no per-query metric cost.
-func (e *QueryEngine) AdjacentTallied(u, v int, t *QueryTally) (bool, error) {
+// Probe is the adjacency plane's kernel: one query, plus the decode branch
+// that resolved it (see Kernel). It does no metric work; Adjacent and the
+// batch paths tally the branch.
+func (e *QueryEngine) Probe(u, v int) (bool, Branch, error) {
 	if uint(u) >= uint(e.n) || uint(v) >= uint(e.n) {
-		return false, fmt.Errorf("%w: (%d,%d) of %d", ErrVertexRange, u, v, e.n)
+		return false, BranchRange, fmt.Errorf("%w: (%d,%d) of %d", ErrVertexRange, u, v, e.n)
 	}
-	t.queries++
 	if e.resident != nil {
 		// Sharded engine: pick a resident body (see probeSharded). The nil
 		// check is the only cost an unsharded engine pays.
-		return e.probeSharded(u, v, t)
+		return e.probeSharded(u, v)
 	}
 	mu, mv := e.meta[u], e.meta[v]
 	if mu.id() == mv.id() {
 		// Same vertex: never self-adjacent in a simple graph.
-		t.self++
-		return false, nil
+		return false, BranchSelf, nil
 	}
 	switch {
 	case !mu.fat():
-		t.thin++
-		return e.thinProbe(mu, mv.id()), nil
+		return e.thinProbe(mu, mv.id()), BranchThin, nil
 	case !mv.fat():
-		t.thin++
-		return e.thinProbe(mv, mu.id()), nil
+		return e.thinProbe(mv, mu.id()), BranchThin, nil
 	default:
 		// Both fat: bit mv.id of u's adjacency vector.
-		t.fat++
-		if mv.id() >= uint64(mu.cnt()) {
-			return false, fmt.Errorf("%w: fat id %d outside vector of %d bits", ErrBadLabel, mv.id(), mu.cnt())
-		}
-		return bitstr.SlabReadBits(e.slab, mu.off+int64(mv.id()), 1) == 1, nil
+		return e.fatProbe(mu, mv)
 	}
+}
+
+// fatProbe reads bit mv.id of fat vertex u's adjacency vector.
+func (e *QueryEngine) fatProbe(mu, mv vertexMeta) (bool, Branch, error) {
+	if mv.id() >= uint64(mu.cnt()) {
+		return false, BranchFat, fmt.Errorf("%w: fat id %d outside vector of %d bits", ErrBadLabel, mv.id(), mu.cnt())
+	}
+	return bitstr.SlabReadBits(e.slab, mu.off+int64(mv.id()), 1) == 1, BranchFat, nil
 }
 
 // thinProbe binary-searches thin vertex u's sorted neighbor-id list for
@@ -337,123 +274,12 @@ func (e *QueryEngine) thinProbe(m vertexMeta, target uint64) bool {
 // for len(pairs) results makes the whole batch allocation-free. It stops at
 // the first failing query.
 func (e *QueryEngine) AdjacentMany(pairs [][2]int, out []bool) ([]bool, error) {
-	var t QueryTally
-	for _, p := range pairs {
-		ok, err := e.AdjacentTallied(p[0], p[1], &t)
-		if err != nil {
-			e.flushBatch(&t, len(pairs))
-			return out, fmt.Errorf("core: query (%d,%d): %w", p[0], p[1], err)
-		}
-		out = append(out, ok)
-	}
-	e.flushBatch(&t, len(pairs))
-	return out, nil
-}
-
-// growBools extends out by extra entries, reusing capacity when it can.
-func growBools(out []bool, extra int) []bool {
-	if need := len(out) + extra; cap(out) >= need {
-		return out[:need]
-	}
-	grown := make([]bool, len(out)+extra)
-	copy(grown, out)
-	return grown
-}
-
-// flushBatch charges one batch call's tally: O(1) atomic adds however many
-// pairs the batch held.
-func (e *QueryEngine) flushBatch(t *QueryTally, pairs int) {
-	if m := e.metrics; m != nil {
-		m.flush(t)
-		m.Batches.Inc()
-		m.BatchPairs.Observe(int64(pairs))
-	}
-}
-
-// FlushTally charges a caller-managed tally span (see QueryTally) to the
-// attached metrics and zeroes the tally. pairs > 0 additionally records one
-// batch of that many pairs, making an externally-streamed frame
-// indistinguishable from an AdjacentMany call in the exposition; pass 0 for
-// a span that ended early (the queries already probed still count). A no-op
-// apart from the zeroing when no metrics are attached.
-func (e *QueryEngine) FlushTally(t *QueryTally, pairs int) {
-	if m := e.metrics; m != nil {
-		m.flush(t)
-		if pairs > 0 {
-			m.Batches.Inc()
-			m.BatchPairs.Observe(int64(pairs))
-		}
-	}
-	*t = QueryTally{}
-}
-
-// ObserveProbe charges one served frame's engine-probe wall time to the
-// attached metrics (see EngineMetrics.ObserveProbe); a no-op without
-// metrics. The serving loop calls it once per successful query frame.
-func (e *QueryEngine) ObserveProbe(ns int64, traceID uint64) {
-	if m := e.metrics; m != nil {
-		m.ObserveProbe(ns, traceID)
-	}
+	return probeMany(e, e.metrics, pairs, out)
 }
 
 // AdjacentManyParallel shards a batch across workers goroutines (workers
 // <= 0 selects GOMAXPROCS) and answers each shard with the allocation-free
-// single-query path. Results are returned in pair order. The engine itself
-// is read-only, so shards share it without synchronization; the only
-// coordination is the final join.
+// single-query path. Results are returned in pair order.
 func (e *QueryEngine) AdjacentManyParallel(pairs [][2]int, out []bool, workers int) ([]bool, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	if workers <= 1 {
-		return e.AdjacentMany(pairs, out)
-	}
-	start := len(out)
-	out = growBools(out, len(pairs))
-	res := out[start:]
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	chunk := (len(pairs) + workers - 1) / workers
-	for wi := 0; wi < workers; wi++ {
-		lo := wi * chunk
-		if lo >= len(pairs) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		wg.Add(1)
-		go func(wi, lo, hi int) {
-			defer wg.Done()
-			// Worker-local tally, flushed once per shard: the atomics merge
-			// shards without any cross-worker coordination in the loop.
-			var t QueryTally
-			for i := lo; i < hi; i++ {
-				ok, err := e.AdjacentTallied(pairs[i][0], pairs[i][1], &t)
-				if err != nil {
-					errs[wi] = fmt.Errorf("core: query (%d,%d): %w", pairs[i][0], pairs[i][1], err)
-					break
-				}
-				res[i] = ok
-			}
-			if m := e.metrics; m != nil {
-				m.flush(&t)
-			}
-		}(wi, lo, hi)
-	}
-	wg.Wait()
-	if m := e.metrics; m != nil {
-		m.Batches.Inc()
-		m.BatchPairs.Observe(int64(len(pairs)))
-	}
-	for _, err := range errs {
-		if err != nil {
-			return out[:start], err
-		}
-	}
-	return out, nil
+	return probeManyParallel(e, e.metrics, pairs, out, workers)
 }

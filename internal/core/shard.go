@@ -301,27 +301,20 @@ func (e *QueryEngine) AppendFatBits(dst []byte) []byte {
 // bitmap. Answers are bit-for-bit identical to an unsharded engine over the
 // full labeling whenever a resident body exists; otherwise the pair was
 // misrouted and the probe refuses.
-func (e *QueryEngine) probeSharded(u, v int, t *QueryTally) (bool, error) {
+func (e *QueryEngine) probeSharded(u, v int) (bool, Branch, error) {
 	mu, mv := e.meta[u], e.meta[v]
 	if mu.id() == mv.id() {
-		t.self++
-		return false, nil
+		return false, BranchSelf, nil
 	}
 	switch {
 	case !mu.fat() && e.Resident(u):
-		t.thin++
-		return e.thinProbe(mu, mv.id()), nil
+		return e.thinProbe(mu, mv.id()), BranchThin, nil
 	case !mv.fat() && e.Resident(v):
-		t.thin++
-		return e.thinProbe(mv, mu.id()), nil
+		return e.thinProbe(mv, mu.id()), BranchThin, nil
 	case mu.fat() && mv.fat():
-		t.fat++
-		if mv.id() >= uint64(mu.cnt()) {
-			return false, fmt.Errorf("%w: fat id %d outside vector of %d bits", ErrBadLabel, mv.id(), mu.cnt())
-		}
-		return bitstr.SlabReadBits(e.slab, mu.off+int64(mv.id()), 1) == 1, nil
+		return e.fatProbe(mu, mv)
 	default:
-		return false, fmt.Errorf("%w: (%d,%d) on shard %d/%d", ErrNotResident, u, v, e.shard.Index, e.shard.Count)
+		return false, BranchRefused, fmt.Errorf("%w: (%d,%d) on shard %d/%d", ErrNotResident, u, v, e.shard.Index, e.shard.Count)
 	}
 }
 

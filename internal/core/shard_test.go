@@ -176,6 +176,67 @@ func TestShardedEngineNotResident(t *testing.T) {
 	}
 }
 
+// TestShardedEngineMetricsCountRefused pins what a shard's metrics count for
+// a misrouted pair: the refused probe is a query (so a shard fed misrouted
+// pairs shows the load in engine_queries_total) but in no branch, while an
+// out-of-range pair counts nowhere. It checks every batch path.
+func TestShardedEngineMetricsCountRefused(t *testing.T) {
+	full, engines := shardTestEngines(t, LayoutID, 3, ShardRange, 400, 11)
+	n := full.N()
+	var u, v, shard int = -1, -1, -1
+	for a := 0; a < n && shard < 0; a++ {
+		for b := a + 1; b < n && shard < 0; b++ {
+			if full.Fat(a) || full.Fat(b) {
+				continue
+			}
+			for s := range engines {
+				if ShardOwner(ShardRange, a, n, 3) != s && ShardOwner(ShardRange, b, n, 3) != s {
+					u, v, shard = a, b, s
+					break
+				}
+			}
+		}
+	}
+	if shard < 0 {
+		t.Fatal("test graph produced no misroutable thin pair")
+	}
+	e := engines[shard]
+	var self int
+	for self = 0; ShardOwner(ShardRange, self, n, 3) != shard; self++ {
+	}
+	for _, tc := range []struct {
+		name     string
+		call     func() error
+		wantSelf int64
+	}{
+		{"Adjacent", func() error { _, err := e.Adjacent(u, v); return err }, 0},
+		{"AdjacentMany", func() error { _, err := e.AdjacentMany([][2]int{{self, self}, {u, v}}, nil); return err }, 1},
+		{"AdjacentManyParallel", func() error {
+			_, err := e.AdjacentManyParallel([][2]int{{self, self}, {u, v}}, nil, 2)
+			return err
+		}, 1},
+	} {
+		var em EngineMetrics
+		e.AttachMetrics(&em)
+		if err := tc.call(); !errors.Is(err, ErrNotResident) {
+			t.Fatalf("%s: misrouted (%d,%d) on shard %d: err = %v, want ErrNotResident", tc.name, u, v, shard, err)
+		}
+		if _, err := e.Adjacent(n, 0); !errors.Is(err, ErrVertexRange) {
+			t.Fatalf("%s: out-of-range pair: err = %v, want ErrVertexRange", tc.name, err)
+		}
+		if got := em.SelfBranch.Load(); got != tc.wantSelf {
+			t.Errorf("%s: self branch = %d, want %d", tc.name, got, tc.wantSelf)
+		}
+		if got := em.ThinBranch.Load() + em.FatBranch.Load(); got != 0 {
+			t.Errorf("%s: thin+fat branches = %d, want 0 (the refused probe is in no branch)", tc.name, got)
+		}
+		if got, want := em.Queries.Load(), tc.wantSelf+1; got != want {
+			t.Errorf("%s: engine queries = %d, want %d (answered + 1 refused, none for out of range)", tc.name, got, want)
+		}
+	}
+	e.AttachMetrics(nil)
+}
+
 // TestSetShardRejectsWrongMap: attaching a shard map whose index does not
 // match the slab's actual partition must fail — thin labels the wrong map
 // claims foreign still carry bodies, and SetShard's stub check sees them.

@@ -25,6 +25,7 @@ go build -o "$work/bin" ./cmd/plgen ./cmd/pllabel ./cmd/plserve ./cmd/plload
 "$work/bin/pllabel" -scheme powerlaw -in "$work/graph.el" -o "$work/labels.pllb" >/dev/null
 
 start_server() { # start_server <shed-depth>
+    : >"$work/serve.log" # create the log before the daemon, so polling never races its creation
     "$work/bin/plserve" -labels "$work/labels.pllb" -addr 127.0.0.1:0 \
         -max-conns 64 -shed-depth "$1" >"$work/serve.log" 2>&1 &
     serve_pid=$!

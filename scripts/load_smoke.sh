@@ -22,6 +22,7 @@ echo "== generate + label"
 "$work/bin/pllabel" -scheme powerlaw -in "$work/graph.el" -o "$work/labels.pllb"
 
 echo "== serve (admission cap + shedding armed, admin plane on)"
+: >"$work/serve.log" # create the log before the daemon, so polling never races its creation
 "$work/bin/plserve" -labels "$work/labels.pllb" -addr 127.0.0.1:0 -admin-addr 127.0.0.1:0 \
     -max-conns 64 -shed-depth 128 >"$work/serve.log" 2>&1 &
 serve_pid=$!
@@ -78,6 +79,7 @@ PY
 
 echo "== shedding: a depth-1 server under concurrency refuses, never errors"
 kill -TERM "$serve_pid"; wait "$serve_pid" || true; serve_pid=""
+: >"$work/serve-shed.log"
 "$work/bin/plserve" -labels "$work/labels.pllb" -addr 127.0.0.1:0 -admin-addr 127.0.0.1:0 \
     -shed-depth 1 >"$work/serve-shed.log" 2>&1 &
 serve_pid=$!
@@ -114,6 +116,7 @@ echo "== tracing: 3-shard fleet behind plroute, sampled end-to-end attribution"
 shard_addrs=""
 shard_pids=""
 for i in 0 1 2; do
+    : >"$work/serve-tr$i.log"
     "$work/bin/plserve" -labels "$work/labels-sh.pllb.shard$i" -addr 127.0.0.1:0 \
         -trace-sample 4 >"$work/serve-tr$i.log" 2>&1 &
     shard_pids="$shard_pids $!"
@@ -129,6 +132,7 @@ for i in 0 1 2; do
     shard_addrs="$shard_addrs,$saddr"
 done
 shard_addrs="${shard_addrs#,}"
+: >"$work/route.log"
 "$work/bin/plroute" -shards "$shard_addrs" -addr 127.0.0.1:0 -admin-addr 127.0.0.1:0 \
     -trace-sample 4 -slowlog-ms 1 >"$work/route.log" 2>&1 &
 route_pid=$!

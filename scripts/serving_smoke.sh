@@ -21,6 +21,7 @@ echo "== generate + label"
 "$work/bin/pllabel" -scheme powerlaw -in "$work/graph.el" -o "$work/labels.pllb"
 
 echo "== serve (port 0 = kernel-assigned, admin plane on)"
+: >"$work/serve.log" # create the log before the daemon, so polling never races its creation
 "$work/bin/plserve" -labels "$work/labels.pllb" -addr 127.0.0.1:0 -admin-addr 127.0.0.1:0 >"$work/serve.log" 2>&1 &
 serve_pid=$!
 # The daemon logs msg=listening addr=HOST:PORT once ready (and msg=admin
@@ -84,6 +85,7 @@ echo "== skew phase: degree-ordered store"
 "$work/bin/pllabel" -scheme powerlaw -layout degree -in "$work/graph.el" -o "$work/labels-deg.pllb" >"$work/label-deg.log"
 grep -q "layout: degree-ordered" "$work/label-deg.log" \
     || { echo "pllabel did not report the degree layout"; cat "$work/label-deg.log"; exit 1; }
+: >"$work/serve-deg.log"
 "$work/bin/plserve" -labels "$work/labels-deg.pllb" -addr 127.0.0.1:0 >"$work/serve-deg.log" 2>&1 &
 serve_pid=$!
 addr=""
@@ -114,6 +116,7 @@ grep -c "shard store written" "$work/label-sh.log" | grep -qx 3 \
 shard_addrs=""
 shard_pids=""
 for i in 0 1 2; do
+    : >"$work/serve-sh$i.log"
     "$work/bin/plserve" -labels "$work/labels-sh.pllb.shard$i" -addr 127.0.0.1:0 \
         >"$work/serve-sh$i.log" 2>&1 &
     shard_pids="$shard_pids $!"
@@ -131,6 +134,7 @@ for i in 0 1 2; do
     shard_addrs="$shard_addrs,$saddr"
 done
 shard_addrs="${shard_addrs#,}"
+: >"$work/route.log"
 "$work/bin/plroute" -shards "$shard_addrs" -addr 127.0.0.1:0 -admin-addr 127.0.0.1:0 \
     >"$work/route.log" 2>&1 &
 route_pid=$!
@@ -183,6 +187,7 @@ grep -q "verify: ok" "$work/label-dist.log" \
 dist_addrs=""
 dist_pids=""
 for i in 0 1; do
+    : >"$work/serve-dist$i.log"
     "$work/bin/plserve" -labels "$work/dists.pllb" -addr 127.0.0.1:0 \
         >"$work/serve-dist$i.log" 2>&1 &
     dist_pids="$dist_pids $!"
@@ -211,6 +216,7 @@ diff "$work/dist-local.out" "$work/dist-stream.out"
 echo "   $(wc -l <"$work/dist-local.out") distances identical across local, remote-batch, remote-stream"
 
 echo "== replica fleet: 2 identical distance servers behind plroute"
+: >"$work/route-dist.log"
 "$work/bin/plroute" -shards "$dist_addrs" -addr 127.0.0.1:0 >"$work/route-dist.log" 2>&1 &
 route_pid=$!
 raddr=""
