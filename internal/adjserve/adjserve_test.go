@@ -2,9 +2,11 @@ package adjserve
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -227,35 +229,103 @@ func TestClientReconnect(t *testing.T) {
 	}
 }
 
-// TestGracefulClose: Close drains — Serve returns ErrClosed, double Close is
-// fine, and a Serve attempt after Close refuses.
+// TestGracefulClose: Close drains every serving tier while a pipelining
+// client has frames in flight. Every call either answers like the engine or
+// fails, none hangs, Serve returns ErrClosed, a second Close is fine, and a
+// Serve attempt after Close refuses.
 func TestGracefulClose(t *testing.T) {
-	eng := testEngine(t, 80, 1)
-	addr, srv, served := startServer(t, eng, 0)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Adjacent(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-served; !errors.Is(err, ErrClosed) {
-		t.Fatalf("Serve = %v, want ErrClosed", err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	if err := srv.Serve(ln); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Serve after Close = %v, want ErrClosed", err)
+	for _, tc := range tierCases(t, 300, 1) {
+		t.Run(tc.name, func(t *testing.T) {
+			addr, served := tc.start(t)
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			c.MaxDialAttempts = 1
+			if _, err := c.Adjacent(0, 1); err != nil {
+				t.Fatal(err)
+			}
+
+			// Several goroutines share the one pipelining client, so frames are
+			// queued on the connection when Close lands.
+			const callers = 8
+			var (
+				wg       sync.WaitGroup
+				answered atomic.Int64
+				stop     = make(chan struct{})
+				wrong    = make(chan string, callers)
+			)
+			for g := 0; g < callers; g++ {
+				pairs := randomPairs(tc.full.N(), 256, int64(g))
+				want, err := tc.full.AdjacentMany(pairs, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						got, err := c.AdjacentMany(pairs, nil)
+						if err != nil {
+							return // the drain cut this call: failing is allowed
+						}
+						for i := range want {
+							if got[i] != want[i] {
+								wrong <- fmt.Sprintf("pair %d %v: got %v, want %v", i, pairs[i], got[i], want[i])
+								return
+							}
+						}
+						answered.Add(1)
+						select {
+						case <-stop:
+							return
+						default:
+						}
+					}
+				}()
+			}
+			for answered.Load() < 2*callers {
+				time.Sleep(time.Millisecond)
+			}
+			closed := make(chan error, 1)
+			go func() { closed <- tc.tier.Close() }()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Close hung with pipelined frames in flight")
+			}
+			close(stop)
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("in-flight calls hung after Close")
+			}
+			close(wrong)
+			for msg := range wrong {
+				t.Error(msg)
+			}
+
+			if err := <-served; !errors.Is(err, ErrClosed) {
+				t.Fatalf("Serve = %v, want ErrClosed", err)
+			}
+			if err := tc.tier.Close(); err != nil {
+				t.Fatalf("second Close: %v", err)
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			if err := tc.tier.Serve(ln); !errors.Is(err, ErrClosed) {
+				t.Fatalf("Serve after Close = %v, want ErrClosed", err)
+			}
+		})
 	}
 }
 

@@ -148,12 +148,14 @@ func BenchmarkServeTraceDisabled(b *testing.B) {
 	srv := NewServer(testEngine(b, 20000, 42), 0)
 	srv.SetTraceSink(&obs.TraceSink{Ring: obs.NewTraceRing(256), Slow: obs.NewTraceRing(64)})
 	req := appendPairsReq(nil, opQuery, 0, randomPairs(20000, 64, 1))
-	bufs := &connBuffers{resp: make([]byte, 0, 4096)}
+	a := srv.openConn()
+	defer a.release()
+	bufs := &frameBufs{resp: make([]byte, 0, 4096)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		resp, _ := srv.serveFrame(req, bufs, start, 1, 1)
+		resp, _ := srv.serveFrame(a, bufs, req, start, 1, 1)
 		bufs.resp = resp[:0]
 	}
 }
@@ -167,11 +169,11 @@ func BenchmarkAdjserveShed(b *testing.B) {
 	srv.SetShedDepth(1)
 	srv.metrics.QueuedFrames.Add(5) // pinned past the bound: every frame sheds
 	req := appendPairsReq(nil, opQuery, 0, randomPairs(20000, 64, 1))
-	bufs := &connBuffers{resp: make([]byte, 0, 64)}
+	bufs := &connBuffers{}
+	resp := make([]byte, 0, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, _, _ := srv.process(req, bufs)
-		bufs.resp = resp[:0]
+		resp, _, _ = srv.process(req, resp[:0], bufs)
 	}
 }

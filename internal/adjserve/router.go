@@ -1,17 +1,13 @@
 package adjserve
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -42,6 +38,8 @@ import (
 // error frame, the downstream connection stays up, and frames touching only
 // live shards keep answering.
 type Router struct {
+	front
+
 	clients  []*Client // by shard index (partition) or address order (replicas)
 	fatBits  []byte    // replicated fat set, bit v MSB-first within byte v/8
 	n        int
@@ -54,27 +52,8 @@ type Router struct {
 	// any replica could answer any pair.
 	replicas bool
 
-	// maxConns, when > 0, caps concurrently open downstream connections,
-	// mirroring Server.SetMaxConns: over-cap accepts get one shed frame and a
-	// close. Set before Serve.
-	maxConns int
-
 	metrics RouterMetrics
 	bufPool sync.Pool // *routerBufs; per-router because sizes scale with shard count
-
-	// sink, when non-nil, collects completed traces at the router hop,
-	// mirroring Server.sink: traced downstream frames, self-sampled frames,
-	// and slow frames. Set before Serve.
-	sink *obs.TraceSink
-
-	// draining is read once per frame by every downstream connection's loop;
-	// atomic so the frame loop takes no lock (mu guards only the registry).
-	draining atomic.Bool
-
-	mu    sync.Mutex
-	ln    net.Listener
-	conns map[net.Conn]struct{}
-	wg    sync.WaitGroup
 }
 
 // NewRouter dials one server per address, performs the shard-info handshake
@@ -104,7 +83,6 @@ func NewRouter(addrs []string, maxBatch int) (*Router, error) {
 	r := &Router{
 		clients:  make([]*Client, len(addrs)),
 		maxBatch: maxBatch,
-		conns:    make(map[net.Conn]struct{}),
 	}
 	infos := make([]*ShardInfo, len(addrs))
 	for i, addr := range addrs {
@@ -155,7 +133,10 @@ func NewRouter(addrs []string, maxBatch int) (*Router, error) {
 		}
 		r.clients = ordered
 	}
-	r.metrics.init(len(addrs))
+	r.metrics.Upstreams = make([]UpstreamMetrics, len(addrs))
+	// A slow-only capture records no fan-out detail, so it charges the whole
+	// routing window to one upstream stage.
+	r.init(&r.metrics.FrontMetrics, obs.StageUpstream, r.openConn)
 	return r, nil
 }
 
@@ -205,15 +186,6 @@ func (r *Router) Shards() int { return len(r.clients) }
 // replicas (owner-of-u routing, distance frames allowed) rather than a
 // shard partition.
 func (r *Router) Replicas() bool { return r.replicas }
-
-// SetMaxConns caps concurrently open downstream connections; n <= 0 means
-// unlimited. Over-cap connections are answered with one shed frame and
-// closed, exactly like Server.SetMaxConns. Must be called before Serve.
-func (r *Router) SetMaxConns(n int) { r.maxConns = n }
-
-// SetTraceSink installs the router's trace collection point, mirroring
-// Server.SetTraceSink. Must be called before Serve.
-func (r *Router) SetTraceSink(sink *obs.TraceSink) { r.sink = sink }
 
 // Metrics returns the router's instrumentation; RegisterMetrics exposes it
 // (and every upstream client's) on a registry.
@@ -267,75 +239,11 @@ func (r *Router) ownerOf(u int) int {
 	return int(int64(u) * int64(len(r.clients)) / int64(r.n))
 }
 
-// Serve accepts downstream connections on ln until Close, mirroring
-// Server.Serve: each connection's frames are answered in order on its own
-// goroutine (the fan-out inside a frame is concurrent, the frames are not
-// reordered).
-func (r *Router) Serve(ln net.Listener) error {
-	r.mu.Lock()
-	if r.draining.Load() {
-		r.mu.Unlock()
-		ln.Close()
-		return ErrClosed
-	}
-	r.ln = ln
-	r.mu.Unlock()
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			if r.draining.Load() {
-				return ErrClosed
-			}
-			return err
-		}
-		r.mu.Lock()
-		if r.draining.Load() {
-			r.mu.Unlock()
-			c.Close()
-			continue
-		}
-		if r.maxConns > 0 && len(r.conns) >= r.maxConns {
-			r.mu.Unlock()
-			r.metrics.ConnsShed.Inc()
-			go refuseConn(c)
-			continue
-		}
-		r.conns[c] = struct{}{}
-		r.wg.Add(1)
-		r.mu.Unlock()
-		go r.handle(c)
-	}
-}
-
-// ListenAndServe listens on addr and calls Serve.
-func (r *Router) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return r.Serve(ln)
-}
-
 // Close drains the router exactly as Server.Close drains a server — stop
 // accepting, let every connection finish its in-flight frame, wait — and
 // then closes the upstream clients. Idempotent.
 func (r *Router) Close() error {
-	r.mu.Lock()
-	if !r.draining.CompareAndSwap(false, true) {
-		r.mu.Unlock()
-		r.wg.Wait()
-		return nil
-	}
-	ln := r.ln
-	for c := range r.conns {
-		c.SetReadDeadline(time.Now())
-	}
-	r.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	r.wg.Wait()
+	err := r.front.Close()
 	r.closeClients()
 	return err
 }
@@ -359,120 +267,51 @@ type shardJob struct {
 	tr     obs.SpanTally
 }
 
-// routerBufs is the pooled per-connection scratch: request/response payloads
-// plus one shardJob (sub-batch, scatter indexes, answers) per upstream, the
-// request-ordered answer gather, and the join WaitGroup — everything a frame
-// needs, so the steady-state fan-out performs zero heap allocations.
+// routerBufs is one downstream connection's answerer: pooled scratch — one
+// shardJob (sub-batch, scatter indexes, answers) per upstream, the
+// request-ordered answer gather, and the join WaitGroup, everything a frame
+// needs, so the steady-state fan-out performs zero heap allocations — plus
+// the channels of the connection's upstream workers.
 type routerBufs struct {
-	req, resp []byte
-	jobs      []shardJob
-	pairs     [][2]uint64 // a pair frame's decoded pairs
-	ans       []uint8
-	wg        sync.WaitGroup
+	r     *Router
+	jobs  []shardJob
+	pairs [][2]uint64 // a pair frame's decoded pairs
+	ans   []uint8
+	wg    sync.WaitGroup
+	chans []chan *shardJob
 }
 
-func (r *Router) getBufs() *routerBufs {
-	if b, ok := r.bufPool.Get().(*routerBufs); ok {
-		return b
+// openConn starts one persistent worker goroutine per upstream for a new
+// downstream connection, fed over a buffered channel, so the per-frame
+// fan-out is channel sends and a WaitGroup join — no goroutine spawning on
+// the query path.
+func (r *Router) openConn() answerer {
+	b, ok := r.bufPool.Get().(*routerBufs)
+	if !ok {
+		b = &routerBufs{r: r, jobs: make([]shardJob, len(r.clients))}
+		for s := range b.jobs {
+			b.jobs[s].wg = &b.wg
+		}
 	}
-	b := &routerBufs{jobs: make([]shardJob, len(r.clients))}
-	for s := range b.jobs {
-		b.jobs[s].wg = &b.wg
+	b.chans = make([]chan *shardJob, len(r.clients))
+	for s := range b.chans {
+		b.chans[s] = make(chan *shardJob, 1)
+		go r.worker(s, b.chans[s])
 	}
 	return b
 }
 
-// handle runs one downstream connection's frame loop. Each connection gets
-// one persistent worker goroutine per shard, fed over a buffered channel, so
-// the per-frame fan-out is channel sends and a WaitGroup join — no goroutine
-// spawning on the query path.
-func (r *Router) handle(c net.Conn) {
-	r.metrics.ConnsTotal.Inc()
-	r.metrics.ConnsActive.Add(1)
-	defer func() {
-		r.metrics.ConnsActive.Add(-1)
-		r.mu.Lock()
-		delete(r.conns, c)
-		r.mu.Unlock()
-		c.Close()
-		r.wg.Done()
-	}()
-	bufs := r.getBufs()
-	defer r.bufPool.Put(bufs)
-	chans := make([]chan *shardJob, len(r.clients))
-	for s := range chans {
-		chans[s] = make(chan *shardJob, 1)
-		go r.worker(s, chans[s])
+func (b *routerBufs) answer(req, resp []byte, tp *obs.SpanTally) ([]byte, int, *core.EngineMetrics) {
+	out, queries := b.r.process(req, resp, b, tp)
+	return out, queries, nil
+}
+
+func (b *routerBufs) release() {
+	for _, ch := range b.chans {
+		close(ch)
 	}
-	defer func() {
-		for _, ch := range chans {
-			close(ch)
-		}
-	}()
-	br := bufio.NewReaderSize(c, 64<<10)
-	bw := bufio.NewWriterSize(c, 64<<10)
-	var hdr, fhdr [frameHeaderLen]byte
-	pending := 0
-	// burstStart tracks queue wait exactly like Server.handle: a frame whose
-	// header was already buffered when we looped back waited in this
-	// connection's read burst since burstStart.
-	var burstStart time.Time
-	for {
-		if r.draining.Load() {
-			bw.Flush()
-			return
-		}
-		waiting := br.Buffered() >= frameHeaderLen
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			bw.Flush()
-			return
-		}
-		tHdr := time.Now()
-		if !waiting {
-			burstStart = tHdr
-		}
-		plen := int(binary.LittleEndian.Uint32(hdr[:]))
-		var resp []byte
-		if plen > maxFramePayload {
-			if _, err := io.CopyN(io.Discard, br, int64(plen)); err != nil {
-				return
-			}
-			resp = appendErr(bufs.resp[:0], "frame of %d bytes exceeds limit %d", plen, maxFramePayload)
-			r.metrics.ErrorFrames.Inc()
-		} else {
-			if cap(bufs.req) < plen {
-				bufs.req = make([]byte, plen)
-			}
-			req := bufs.req[:plen]
-			if _, err := io.ReadFull(br, req); err != nil {
-				return
-			}
-			tPayload := time.Now()
-			resp, _ = r.routeFrame(req, bufs, chans, tPayload,
-				int64(tPayload.Sub(tHdr)), int64(tHdr.Sub(burstStart)))
-		}
-		r.metrics.Frames.Inc()
-		r.metrics.BytesIn.Add(int64(frameHeaderLen + plen))
-		r.metrics.BytesOut.Add(int64(frameHeaderLen + len(resp)))
-		bufs.resp = resp[:0]
-		fhdr = frameHeader(len(resp))
-		if _, err := bw.Write(fhdr[:]); err != nil {
-			return
-		}
-		if _, err := bw.Write(resp); err != nil {
-			return
-		}
-		pending++
-		// One Flush per read-burst, bounded like the server's coalescing so a
-		// downstream client that stopped reading backpressures this loop
-		// instead of growing the write buffer.
-		if br.Buffered() < frameHeaderLen || pending >= DefaultMaxPendingResponses {
-			if err := bw.Flush(); err != nil {
-				return
-			}
-			pending = 0
-		}
-	}
+	b.chans = nil
+	b.r.bufPool.Put(b)
 }
 
 // worker answers one shard's sub-batches for one downstream connection.
@@ -502,87 +341,6 @@ func (r *Router) worker(s int, jobs <-chan *shardJob) {
 	}
 }
 
-// routeFrame is the router's analogue of Server.serveFrame: it strips an
-// inbound trace context, decides whether this frame is captured (remote trace,
-// self-sample, or slow), answers via process, and on capture echoes the
-// router-hop stage report back downstream and deposits the completed trace.
-// start is the instant the payload finished reading; readNs and queueNs are
-// the header→payload read time and the pre-read queue wait.
-//
-// The untraced path materializes no SpanTally and performs no extra work
-// beyond the timestamps already taken by the frame loop, preserving the
-// zero-allocation router batch path.
-func (r *Router) routeFrame(req []byte, bufs *routerBufs, chans []chan *shardJob, start time.Time, readNs, queueNs int64) ([]byte, int) {
-	var tc traceCtx
-	if len(req) > traceIDLen && req[0]&opTraceFlag != 0 {
-		tc.remote = true
-		tc.id = binary.LittleEndian.Uint64(req[1 : 1+traceIDLen])
-		req[traceIDLen] = req[0] &^ opTraceFlag
-		req = req[traceIDLen:]
-	}
-	var op byte
-	if len(req) > 0 {
-		op = req[0]
-	}
-	sink := r.sink
-	if !tc.remote && sink.SampleNow() {
-		tc.sample = true
-		tc.id = obs.NewTraceID()
-	}
-	// Captured frames thread a tally through process so the fan-out records
-	// scatter/upstream/gather windows and per-shard sub-traces. Slow-only
-	// frames (detected after the fact) get the coarse queue/read/route stages.
-	var t obs.SpanTally
-	var tp *obs.SpanTally
-	if tc.remote || tc.sample {
-		t.ID = tc.id
-		tp = &t
-	}
-	resp, queries := r.process(req, bufs, chans, tp)
-	routeNs := int64(time.Since(start))
-	switch {
-	case len(resp) > 0 && resp[0] == statusErr:
-		r.metrics.ErrorFrames.Inc()
-	case len(resp) > 0 && resp[0] == statusShed:
-		r.metrics.ShedFrames.Inc()
-	case queries > 0:
-		r.metrics.Queries.Add(int64(queries))
-		h := &r.metrics.FrameLatencyNs[batchClass(queries)]
-		if tc.id != 0 {
-			h.ObserveExemplar(routeNs, tc.id)
-		} else {
-			h.Observe(routeNs)
-		}
-	}
-	total := queueNs + readNs + routeNs
-	slowNs := sink.SlowThreshold()
-	slow := slowNs > 0 && total > slowNs
-	if tc.remote || tc.sample || slow {
-		if tp == nil {
-			// Slow-only capture: no fan-out detail was recorded, attribute the
-			// whole routing window as one upstream stage.
-			t.Add(obs.StageUpstream, obs.HopSelf, routeNs)
-		}
-		t.Add(obs.StageQueue, obs.HopSelf, queueNs)
-		t.Add(obs.StageRead, obs.HopSelf, readNs)
-		if tc.remote {
-			resp = echoTrace(resp, op, &t)
-		}
-		if t.ID == 0 {
-			t.ID = obs.NewTraceID()
-		}
-		var tr obs.Trace
-		tr.Fill(&t, op, queries, total)
-		if tc.remote || tc.sample {
-			sink.Deposit(&tr)
-		}
-		if slow {
-			sink.DepositSlow(&tr)
-		}
-	}
-	return resp, queries
-}
-
 // mergeShardTrace folds one shard job's tally into the frame tally: the
 // upstream client's own stages (encode/flush/net at HopSelf) collapse into a
 // single per-shard net stage, the shard server's stage report (HopPeer after
@@ -604,14 +362,13 @@ func mergeShardTrace(dst, jt *obs.SpanTally, shard uint8) {
 }
 
 // process answers one downstream request payload, appending the response to
-// bufs.resp (reused from its start). Info ops are answered locally — the
+// resp. Info ops are answered locally — the
 // router already knows the fleet's n and fat set from the handshake, and
 // presents itself as a single unsharded server so routers compose with every
 // existing client (plquery -remote, plbench, even another router). A non-nil
 // tp marks the frame as traced: query/dist paths record their fan-out stages
 // into it and thread the trace upstream.
-func (r *Router) process(req []byte, bufs *routerBufs, chans []chan *shardJob, tp *obs.SpanTally) (out []byte, queries int) {
-	resp := bufs.resp[:0]
+func (r *Router) process(req, resp []byte, bufs *routerBufs, tp *obs.SpanTally) (out []byte, queries int) {
 	if len(req) == 0 {
 		return appendErr(resp, "empty request"), 0
 	}
@@ -633,7 +390,7 @@ func (r *Router) process(req []byte, bufs *routerBufs, chans []chan *shardJob, t
 		if p == distPlane && !r.replicas {
 			return appendErr(resp, "distance queries require a replica fleet (this router fronts a %d-shard partition)", len(r.clients)), 0
 		}
-		return r.routePairs(p, body, resp, bufs, chans, tp)
+		return r.routePairs(p, body, resp, bufs, tp)
 	default:
 		return appendErr(resp, "unknown op %d", op), 0
 	}
@@ -643,7 +400,7 @@ func (r *Router) process(req []byte, bufs *routerBufs, chans []chan *shardJob, t
 // the pairs and route each with Router.route, fan the per-upstream
 // sub-batches out concurrently, and gather the upstreams' wire answers back
 // into request order for the plane's codec.
-func (r *Router) routePairs(p *pairPlane, body, resp []byte, bufs *routerBufs, chans []chan *shardJob, tp *obs.SpanTally) (out []byte, queries int) {
+func (r *Router) routePairs(p *pairPlane, body, resp []byte, bufs *routerBufs, tp *obs.SpanTally) (out []byte, queries int) {
 	var tScatter time.Time
 	if tp != nil {
 		tScatter = time.Now()
@@ -698,7 +455,7 @@ func (r *Router) routePairs(p *pairPlane, body, resp []byte, bufs *routerBufs, c
 	bufs.wg.Add(active)
 	for s := range jobs {
 		if len(jobs[s].pairs) > 0 {
-			chans[s] <- &jobs[s]
+			bufs.chans[s] <- &jobs[s]
 		}
 	}
 	bufs.wg.Wait()
@@ -749,26 +506,13 @@ func (r *Router) routePairs(p *pairPlane, body, resp []byte, bufs *routerBufs, c
 	return resp, count
 }
 
-// RouterMetrics is the router's always-on instrumentation: the downstream
-// side mirrors ServerMetrics under the adjserve_router_* names, and Upstreams
-// carries the per-shard fan-out counters (one entry per shard, exposed with a
-// "shard" label). The upstream clients' own metrics (frames, bytes, redials,
+// RouterMetrics is the router's always-on instrumentation: the front's
+// downstream block under the adjserve_router_* names, and Upstreams, the
+// per-shard fan-out counters (one entry per shard, exposed with a "shard"
+// label). The upstream clients' own metrics (frames, bytes, redials,
 // in-flight) are registered alongside by Router.RegisterMetrics.
 type RouterMetrics struct {
-	ConnsActive obs.Gauge   // open downstream connections
-	ConnsTotal  obs.Counter // downstream connections accepted
-	ConnsShed   obs.Counter // downstream connections refused at the admission cap
-	Frames      obs.Counter // downstream request frames answered
-	ErrorFrames obs.Counter // downstream frames answered with an error status
-	ShedFrames  obs.Counter // downstream frames answered with a shed status
-	Queries     obs.Counter // adjacency pairs answered
-	BytesIn     obs.Counter // downstream request bytes, frame headers included
-	BytesOut    obs.Counter // downstream response bytes, frame headers included
-	// FrameLatencyNs[batchClass] is the downstream frame handling time
-	// (request fully read → response buffered) of successful query frames —
-	// routing, fan-out, and scatter included.
-	FrameLatencyNs [len(batchClassLabels)]obs.Histogram
-
+	FrontMetrics
 	Upstreams []UpstreamMetrics // by shard index
 }
 
@@ -781,26 +525,11 @@ type UpstreamMetrics struct {
 	LatencyNs obs.Histogram // upstream round-trip per sub-batch
 }
 
-func (m *RouterMetrics) init(shards int) { m.Upstreams = make([]UpstreamMetrics, shards) }
-
 // Register exposes the metrics on reg under the adjserve_router_* family
 // names. Call once per registry (Router.RegisterMetrics also covers the
 // upstream clients).
 func (m *RouterMetrics) Register(reg *obs.Registry) {
-	reg.Gauge("adjserve_router_connections_active", "Open downstream connections.", &m.ConnsActive)
-	reg.Counter("adjserve_router_connections_total", "Downstream connections accepted.", &m.ConnsTotal)
-	reg.Counter("adjserve_router_connections_shed_total", "Downstream connections refused at the admission cap.", &m.ConnsShed)
-	reg.Counter("adjserve_router_frames_total", "Downstream request frames answered (all ops).", &m.Frames)
-	reg.Counter("adjserve_router_error_frames_total", "Downstream frames answered with an error status.", &m.ErrorFrames)
-	reg.Counter("adjserve_router_shed_frames_total", "Downstream frames answered with a shed status.", &m.ShedFrames)
-	reg.Counter("adjserve_router_queries_total", "Adjacency pairs answered.", &m.Queries)
-	reg.Counter("adjserve_router_bytes_in_total", "Downstream request bytes read, frame headers included.", &m.BytesIn)
-	reg.Counter("adjserve_router_bytes_out_total", "Downstream response bytes written, frame headers included.", &m.BytesOut)
-	for i := range m.FrameLatencyNs {
-		reg.Histogram("adjserve_router_frame_latency_ns",
-			"Downstream query-frame handling time in nanoseconds by batch-size class.",
-			&m.FrameLatencyNs[i], "batch", batchClassLabels[i])
-	}
+	m.register(reg, "adjserve_router_")
 	for s := range m.Upstreams {
 		um := &m.Upstreams[s]
 		shard := strconv.Itoa(s)

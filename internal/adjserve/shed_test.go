@@ -125,57 +125,54 @@ func TestShedFrameEndToEnd(t *testing.T) {
 	}
 }
 
-// TestAdmissionCap verifies the connection cap: the over-cap client's call
-// fails with ErrShed (not a bare reset), the admitted client keeps serving,
-// and closing the admitted connection frees the slot.
+// TestAdmissionCap verifies the connection cap on every serving tier: the
+// over-cap client's call fails with ErrShed (not a bare reset), the admitted
+// client keeps serving, and closing the admitted connection frees the slot.
 func TestAdmissionCap(t *testing.T) {
-	eng := testEngine(t, 500, 11)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(eng, 0)
-	srv.SetMaxConns(1)
-	go srv.Serve(ln)
-	defer srv.Close()
-	addr := ln.Addr().String()
+	for _, tc := range tierCases(t, 500, 11) {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.tier.SetMaxConns(1)
+			addr, _ := tc.start(t)
 
-	first, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer first.Close()
-	if _, err := first.Adjacent(1, 2); err != nil {
-		t.Fatal(err)
-	}
+			first, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer first.Close()
+			if _, err := first.Adjacent(1, 2); err != nil {
+				t.Fatal(err)
+			}
 
-	// The second connection is accepted at the TCP level but refused at
-	// admission: its first call draws ErrShed. The client then redials on the
-	// next call and is refused again while the slot is held.
-	second := NewClient(addr)
-	second.MaxDialAttempts = 1
-	defer second.Close()
-	if _, err := second.Adjacent(3, 4); err != ErrShed {
-		t.Fatalf("over-cap call: err = %v, want ErrShed", err)
-	}
-	if got := srv.Metrics().ConnsShed.Load(); got == 0 {
-		t.Fatal("ConnsShed not counted")
-	}
-	if _, err := first.Adjacent(5, 6); err != nil {
-		t.Fatalf("admitted connection disturbed by the refusal: %v", err)
-	}
+			// The second connection is accepted at the TCP level but refused at
+			// admission: its first call draws ErrShed. The client then redials on
+			// the next call and is refused again while the slot is held.
+			second := NewClient(addr)
+			second.MaxDialAttempts = 1
+			defer second.Close()
+			if _, err := second.Adjacent(3, 4); err != ErrShed {
+				t.Fatalf("over-cap call: err = %v, want ErrShed", err)
+			}
+			if got := tc.connsShed(); got == 0 {
+				t.Fatal("ConnsShed not counted")
+			}
+			if _, err := first.Adjacent(5, 6); err != nil {
+				t.Fatalf("admitted connection disturbed by the refusal: %v", err)
+			}
 
-	// Free the slot; the refused client's transparent redial must now get in.
-	first.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := second.Adjacent(3, 4); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("slot never freed after the admitted connection closed")
-		}
-		time.Sleep(10 * time.Millisecond)
+			// Free the slot; the refused client's transparent redial must now
+			// get in.
+			first.Close()
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				if _, err := second.Adjacent(3, 4); err == nil {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("slot never freed after the admitted connection closed")
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }
 
@@ -186,13 +183,13 @@ func TestShedZeroAlloc(t *testing.T) {
 	srv.SetShedDepth(1)
 	srv.metrics.QueuedFrames.Add(5) // pinned past the bound: always shed
 	req := appendPairsReq(nil, opQuery, 0, randomPairs(500, 64, 1))
-	bufs := &connBuffers{resp: make([]byte, 0, 64)}
-	if resp, _, _ := srv.process(req, bufs); len(resp) != 1 || resp[0] != statusShed {
+	bufs := &connBuffers{}
+	resp := make([]byte, 0, 64)
+	if resp, _, _ := srv.process(req, resp, bufs); len(resp) != 1 || resp[0] != statusShed {
 		t.Fatalf("forced shed answered %v, want one shed status byte", resp)
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		resp, _, _ := srv.process(req, bufs)
-		bufs.resp = resp[:0]
+		resp, _, _ = srv.process(req, resp[:0], bufs)
 	}); avg != 0 {
 		t.Fatalf("shed path allocates %.1f/op, want 0", avg)
 	}
@@ -219,14 +216,12 @@ func TestServeZeroAllocSteadyState(t *testing.T) {
 		tc.srv.SetShedDepth(8) // armed but idle: the depth check itself must not cost
 		req := appendPairsReq(nil, tc.op, 0, randomPairs(500, 64, 2))
 		bufs := &connBuffers{}
-		resp, queries, _ := tc.srv.process(req, bufs)
+		resp, queries, _ := tc.srv.process(req, nil, bufs)
 		if queries != 64 {
 			t.Fatalf("%s: warmup answered %d queries, want 64 (resp %v)", tc.name, queries, resp)
 		}
-		bufs.resp = resp[:0]
 		if avg := testing.AllocsPerRun(200, func() {
-			resp, _, _ := tc.srv.process(req, bufs)
-			bufs.resp = resp[:0]
+			resp, _, _ = tc.srv.process(req, resp[:0], bufs)
 		}); avg != 0 {
 			t.Fatalf("%s: armed serve path allocates %.1f/op, want 0", tc.name, avg)
 		}

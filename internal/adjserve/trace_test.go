@@ -348,122 +348,147 @@ func TestTraceCapsFallback(t *testing.T) {
 	}
 }
 
-// TestTraceSlowlog pins threshold capture: with a 0-sample sink whose slow
-// threshold is 1ns, plain untraced calls land in the slowlog ring with the
-// server's coarse stages attached, and the OnSlow hook fires.
+// TestTraceSlowlog pins threshold capture on every serving tier: with a
+// 0-sample sink whose slow threshold is 1ns, plain untraced calls land in the
+// slowlog ring with the tier's coarse stages attached (queue, read and the
+// tier's work stage, nothing else), and the OnSlow hook fires.
 func TestTraceSlowlog(t *testing.T) {
-	eng := testEngine(t, 400, 17)
-	addr, srv, _ := startServer(t, eng, 0)
-	sink := &obs.TraceSink{
-		Ring:   obs.NewTraceRing(16),
-		Slow:   obs.NewTraceRing(16),
-		SlowNs: 1,
-	}
-	hit := make(chan struct{}, 16)
-	sink.OnSlow = func(tr *obs.Trace) {
-		select {
-		case hit <- struct{}{}:
-		default:
-		}
-	}
-	srv.SetTraceSink(sink)
+	for _, tc := range tierCases(t, 400, 17) {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := &obs.TraceSink{
+				Ring:   obs.NewTraceRing(16),
+				Slow:   obs.NewTraceRing(16),
+				SlowNs: 1,
+			}
+			hit := make(chan struct{}, 16)
+			sink.OnSlow = func(tr *obs.Trace) {
+				select {
+				case hit <- struct{}{}:
+				default:
+				}
+			}
+			tc.tier.SetTraceSink(sink)
+			addr, _ := tc.start(t)
 
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.AdjacentMany(randomPairs(eng.N(), 64, 17), nil); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-hit:
-	case <-time.After(5 * time.Second):
-		t.Fatal("OnSlow hook never fired")
-	}
-	if sink.SlowHits.Load() == 0 {
-		t.Error("slow-hit counter stayed 0")
-	}
-	snap := sink.Slow.Snapshot(nil)
-	if len(snap) == 0 {
-		t.Fatal("slowlog ring is empty")
-	}
-	if snap[0].ID == 0 {
-		t.Error("slowlog trace has no id")
-	}
-	if snap[0].NStages == 0 {
-		t.Error("slowlog trace has no stages")
-	}
-	// The unsampled slow frame must not have leaked into the sampled ring.
-	if got := sink.Ring.Len(); got != 0 {
-		t.Errorf("sampled ring has %d traces, want 0", got)
-	}
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if _, err := c.AdjacentMany(randomPairs(tc.full.N(), 64, 17), nil); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-hit:
+			case <-time.After(5 * time.Second):
+				t.Fatal("OnSlow hook never fired")
+			}
+			if sink.SlowHits.Load() == 0 {
+				t.Error("slow-hit counter stayed 0")
+			}
+			snap := sink.Slow.Snapshot(nil)
+			if len(snap) == 0 {
+				t.Fatal("slowlog ring is empty")
+			}
+			if snap[0].ID == 0 {
+				t.Error("slowlog trace has no id")
+			}
+			for i := range snap {
+				tr := &snap[i]
+				checkStages(t, "slow-only capture", tr, obs.HopSelf, tc.slowStages)
+				if tr.NStages != 3 {
+					t.Errorf("slow-only capture recorded %d stages, want 3", tr.NStages)
+				}
+			}
+			// The unsampled slow frame must not have leaked into the sampled
+			// ring.
+			if got := sink.Ring.Len(); got != 0 {
+				t.Errorf("sampled ring has %d traces, want 0", got)
+			}
 
-	// And the admin endpoint renders it as JSON.
-	reg := obs.NewRegistry()
-	sink.Register(reg)
-	var sb strings.Builder
-	if err := obs.WriteTracesJSON(&sb, sink.Slow, nil); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Traces []struct {
-			TraceID string `json:"trace_id"`
-			Stages  []struct {
-				Stage string `json:"stage"`
-				Hop   string `json:"hop"`
-				Ns    int64  `json:"ns"`
-			} `json:"stages"`
-		} `json:"traces"`
-	}
-	if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
-		t.Fatalf("slowlog JSON does not parse: %v\n%s", err, sb.String())
-	}
-	if len(doc.Traces) == 0 || len(doc.Traces[0].Stages) == 0 {
-		t.Fatalf("slowlog JSON missing traces/stages:\n%s", sb.String())
+			// And the admin endpoint renders it as JSON.
+			reg := obs.NewRegistry()
+			sink.Register(reg)
+			var sb strings.Builder
+			if err := obs.WriteTracesJSON(&sb, sink.Slow, nil); err != nil {
+				t.Fatal(err)
+			}
+			var doc struct {
+				Traces []struct {
+					TraceID string `json:"trace_id"`
+					Stages  []struct {
+						Stage string `json:"stage"`
+						Hop   string `json:"hop"`
+						Ns    int64  `json:"ns"`
+					} `json:"stages"`
+				} `json:"traces"`
+			}
+			if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
+				t.Fatalf("slowlog JSON does not parse: %v\n%s", err, sb.String())
+			}
+			if len(doc.Traces) == 0 || len(doc.Traces[0].Stages) == 0 {
+				t.Fatalf("slowlog JSON missing traces/stages:\n%s", sb.String())
+			}
+		})
 	}
 }
 
-// TestTraceSelfSample pins server-side sampling: with SampleEvery=2 and plain
-// untraced clients, every second frame lands in the sampled ring, and the
+// TestTraceSelfSample pins tier-side sampling: with SampleEvery=2 and plain
+// untraced clients, every second frame lands in the sampled ring with the
+// tier's full stage set (a router's includes each upstream's stages), and the
 // responses stay byte-identical to the untraced protocol (no echo without the
 // request flag).
 func TestTraceSelfSample(t *testing.T) {
-	eng := testEngine(t, 400, 19)
-	addr, srv, _ := startServer(t, eng, 0)
-	sink := &obs.TraceSink{Ring: obs.NewTraceRing(64), SampleEvery: 2}
-	srv.SetTraceSink(sink)
+	for _, tc := range tierCases(t, 400, 19) {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := &obs.TraceSink{Ring: obs.NewTraceRing(64), SampleEvery: 2}
+			tc.tier.SetTraceSink(sink)
+			addr, _ := tc.start(t)
 
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	pairs := randomPairs(eng.N(), 64, 19)
-	want, err := eng.AdjacentMany(pairs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const frames = 10
-	for f := 0; f < frames; f++ {
-		got, err := c.AdjacentMany(pairs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("frame %d pair %d: got %v, want %v", f, i, got[i], want[i])
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	// Client Dial does one Info frame too; sampling counts all frames, so the
-	// exact count depends on op interleaving — bound it instead.
-	n := sink.Ring.Len()
-	if n < frames/2-1 || n > frames/2+2 {
-		t.Errorf("sampled %d traces from %d frames at 1/2, want about %d", n, frames, frames/2)
-	}
-	if sink.Sampled.Load() == 0 {
-		t.Error("sampled counter stayed 0")
+			defer c.Close()
+			pairs := randomPairs(tc.full.N(), 64, 19)
+			want, err := tc.full.AdjacentMany(pairs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const frames = 10
+			for f := 0; f < frames; f++ {
+				got, err := c.AdjacentMany(pairs, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("frame %d pair %d: got %v, want %v", f, i, got[i], want[i])
+					}
+				}
+			}
+			// Client Dial does one Info frame too; sampling counts all frames,
+			// so the exact count depends on op interleaving — bound it instead.
+			n := sink.Ring.Len()
+			if n < frames/2-1 || n > frames/2+2 {
+				t.Errorf("sampled %d traces from %d frames at 1/2, want about %d", n, frames, frames/2)
+			}
+			if sink.Sampled.Load() == 0 {
+				t.Error("sampled counter stayed 0")
+			}
+			queryTraces := 0
+			for _, tr := range sink.Ring.Snapshot(nil) {
+				if tr.Op != opQuery {
+					continue
+				}
+				queryTraces++
+				checkStages(t, "sampled query frame", &tr, obs.HopSelf, tc.selfStages)
+				checkShardStages(t, "sampled query frame", tc, &tr)
+			}
+			if queryTraces == 0 {
+				t.Error("no sampled query-frame trace")
+			}
+		})
 	}
 }
 
@@ -475,10 +500,12 @@ func TestServeFrameTraceDisabledZeroAlloc(t *testing.T) {
 	srv := NewServer(testEngine(t, 2000, 23), 0)
 	srv.SetTraceSink(&obs.TraceSink{Ring: obs.NewTraceRing(16), Slow: obs.NewTraceRing(16)})
 	req := appendPairsReq(nil, opQuery, 0, randomPairs(2000, 64, 23))
-	bufs := &connBuffers{resp: make([]byte, 0, 4096)}
+	a := srv.openConn()
+	defer a.release()
+	bufs := &frameBufs{resp: make([]byte, 0, 4096)}
 	allocs := testing.AllocsPerRun(200, func() {
 		start := time.Now()
-		resp, _ := srv.serveFrame(req, bufs, start, 1, 1)
+		resp, _ := srv.serveFrame(a, bufs, req, start, 1, 1)
 		bufs.resp = resp[:0]
 	})
 	if allocs != 0 {

@@ -225,8 +225,11 @@ func splitByWords(offs []int64, workers int) [][2]int {
 }
 
 // runRanges executes fill over the ranges, one goroutine per range beyond
-// the first caller-run one.
+// the first caller-run one. An empty graph has no ranges and nothing to fill.
 func runRanges(ranges [][2]int, fill func(lo, hi int)) {
+	if len(ranges) == 0 {
+		return
+	}
 	if len(ranges) == 1 {
 		fill(ranges[0][0], ranges[0][1])
 		return
@@ -252,17 +255,10 @@ func encodeFatThinSlab(name string, g *graph.Graph, tau, workers int, lay Layout
 		return nil, fmt.Errorf("core: threshold must be >= 1, got %d", tau)
 	}
 	n := g.N()
-	if n <= 1 {
-		// Degenerate graphs take the legacy path (no body bits to plan, no
-		// layout to choose).
-		return encodeFatThinLegacy(name, g, tau)
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, max(n, 1))
 	w := bitstr.WidthFor(uint64(n))
 	header := 1 + w
 
@@ -331,15 +327,10 @@ func encodeCompressedSlab(name string, g *graph.Graph, tau, workers int, lay Lay
 		return nil, fmt.Errorf("core: threshold must be >= 1, got %d", tau)
 	}
 	n := g.N()
-	if n <= 1 {
-		return encodeCompressedLegacy(name, g, tau)
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, max(n, 1))
 	w := bitstr.WidthFor(uint64(n))
 	header := 1 + w
 

@@ -71,10 +71,11 @@ func requireLabelsEqual(t *testing.T, want, got *Labeling) {
 }
 
 // TestPipelineMatchesLegacyFatThin is the cross-encoder equivalence
-// property: over every (scheme, graph, workers) cell, slab-pipeline labels
-// are bit-for-bit Equal to legacy-encoder labels vertex-by-vertex, and the
-// QueryEngine built on the pipeline labeling answers exactly like the
-// legacy decoder on sampled pairs.
+// property: over every (scheme, graph, layout, workers) cell — the n=0 and
+// n=1 graphs included, which the pipeline encodes itself — slab-pipeline
+// labels are bit-for-bit Equal to legacy-encoder labels vertex-by-vertex,
+// and the QueryEngine built on the pipeline labeling answers exactly like
+// the legacy decoder on sampled pairs.
 func TestPipelineMatchesLegacyFatThin(t *testing.T) {
 	graphs := equivGraphs(t)
 	for _, s := range equivSchemes() {
@@ -88,12 +89,14 @@ func TestPipelineMatchesLegacyFatThin(t *testing.T) {
 				if err != nil {
 					t.Fatalf("legacy encode: %v", err)
 				}
-				for _, workers := range []int{1, 3, 0} {
-					pipe, err := encodeFatThinSlab(s.Name(), g, tau, workers, LayoutID)
-					if err != nil {
-						t.Fatalf("pipeline encode (workers=%d): %v", workers, err)
+				for _, lay := range []Layout{LayoutID, LayoutDegree} {
+					for _, workers := range []int{1, 3, 4, 0} {
+						pipe, err := encodeFatThinSlab(s.Name(), g, tau, workers, lay)
+						if err != nil {
+							t.Fatalf("pipeline encode (layout=%v workers=%d): %v", lay, workers, err)
+						}
+						requireLabelsEqual(t, legacy, pipe)
 					}
-					requireLabelsEqual(t, legacy, pipe)
 				}
 				pipe, err := s.Encode(g)
 				if err != nil {
@@ -156,12 +159,14 @@ func TestPipelineMatchesLegacyCompressed(t *testing.T) {
 				if err != nil {
 					t.Fatalf("legacy encode: %v", err)
 				}
-				for _, workers := range []int{1, 4} {
-					pipe, err := encodeCompressedSlab(s.Name(), g, tau, workers, LayoutID)
-					if err != nil {
-						t.Fatalf("pipeline encode (workers=%d): %v", workers, err)
+				for _, lay := range []Layout{LayoutID, LayoutDegree} {
+					for _, workers := range []int{1, 3, 4, 0} {
+						pipe, err := encodeCompressedSlab(s.Name(), g, tau, workers, lay)
+						if err != nil {
+							t.Fatalf("pipeline encode (layout=%v workers=%d): %v", lay, workers, err)
+						}
+						requireLabelsEqual(t, legacy, pipe)
 					}
-					requireLabelsEqual(t, legacy, pipe)
 				}
 				pipe, err := s.Encode(g)
 				if err != nil {
@@ -320,7 +325,7 @@ func BenchmarkEncodePipelineFill(b *testing.B) {
 		}
 	}
 	plan.layout(LayoutID)
-	slab := make([]byte, int(plan.offs[n]>>3))
+	slab := make([]byte, int(plan.physOffs[n]>>3))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
